@@ -44,23 +44,3 @@ def mat_inv(a: Matrix) -> Matrix:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
 
-
-def det(a: Matrix) -> Q:
-    n = len(a)
-    rows = [list(r) for r in a]
-    sign = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Q(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    prod = sign
-    for i in range(n):
-        prod *= rows[i][i]
-    return prod

@@ -50,7 +50,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _fmt_complex(z: complex, digits: int = 12) -> str:
-    scale = max(abs(z.real), abs(z.imag), 1.0)
+    # a component is rounding noise only relative to the other one, never absolutely
+    scale = max(abs(z.real), abs(z.imag))
     re = 0.0 if abs(z.real) < 1e-13 * scale else z.real
     im = 0.0 if abs(z.imag) < 1e-13 * scale else z.imag
     if im == 0.0:

@@ -13,8 +13,9 @@ usual Bourbaki labelling of Dynkin diagrams.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Sequence
 
@@ -350,19 +351,25 @@ def reflect(alpha: Root, beta: Root, rs: RootSystem) -> Root:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
-    """A Weyl-group element with its action cached as exact matrices.
+    """A Weyl-group element with its action cached as integer matrices.
 
     ``word`` is a (not necessarily reduced) product of simple reflections
     with 1-based indices, composed left-to-right: word=(i, j) acts as
-    v -> s_i(s_j(v)).
+    v -> s_i(s_j(v)).  W preserves the weight lattice, so both matrices
+    are integral.
+
+    ``inversions`` is the inversion set {alpha > 0 : w(alpha) < 0} as a
+    bitmask: bit k stands for ``rs.positive_roots[k]``.  Elements from
+    ``enumerate_weyl`` carry it; a product built by ``compose`` does not.
     """
 
     word: tuple[int, ...]
     root_matrix: tuple[tuple[int, ...], ...]  # action on simple-root coordinates
-    weight_matrix: tuple[tuple[Q, ...], ...]  # same action in the weight basis
+    weight_matrix: tuple[tuple[int, ...], ...]  # same action in the weight basis
     sign: int
+    inversions: int | None = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -380,9 +387,7 @@ class WeylElement:
         return Weight(_linalg.mat_vec(self.weight_matrix, w.coords))
 
     def apply_weight_numeric(self, coords: Sequence[complex]) -> tuple[complex, ...]:
-        return tuple(
-            sum(float(m) * c for m, c in zip(row, coords)) for row in self.weight_matrix
-        )
+        return tuple(sum(m * c for m, c in zip(row, coords)) for row in self.weight_matrix)
 
     def apply_weight_forms(self, coords: Sequence[LinearForm]) -> tuple[LinearForm, ...]:
         out = []
@@ -395,85 +400,123 @@ class WeylElement:
         return tuple(out)
 
 
-def _simple_reflection_matrices(rs: RootSystem, i: int):
-    """Matrices of s_{alpha_i} (1-based i) in the root and weight bases."""
-    r = rs.rank
-    # root basis: s_i(alpha_j) = alpha_j - C[j][i-1] alpha_{i-1}
-    rootm = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-    for j in range(r):
-        rootm[i - 1][j] -= rs.cartan[j][i - 1]
-    # weight basis: (s_i mu)_j = mu_j - mu_{i-1} C[i-1][j]
-    wm = [[Q(1) if a == b else Q(0) for b in range(r)] for a in range(r)]
-    for j in range(r):
-        wm[j][i - 1] -= rs.cartan[i - 1][j]
-    return tuple(tuple(row) for row in rootm), tuple(tuple(row) for row in wm)
-
-
-def identity_element(rs: RootSystem) -> WeylElement:
-    r = rs.rank
-    eye_i = tuple(tuple(1 if a == b else 0 for b in range(r)) for a in range(r))
-    eye_q = tuple(tuple(Q(1) if a == b else Q(0) for b in range(r)) for a in range(r))
-    return WeylElement((), eye_i, eye_q, 1)
-
-
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    rootm, wm = _simple_reflection_matrices(rs, i)
-    return WeylElement((i,), rootm, wm, -1)
-
-
 def compose(a: WeylElement, b: WeylElement) -> WeylElement:
-    """(a∘b)(v) = a(b(v))."""
-    rm = tuple(
-        tuple(
-            sum(a.root_matrix[i][k] * b.root_matrix[k][j] for k in range(len(a.root_matrix)))
-            for j in range(len(a.root_matrix))
-        )
-        for i in range(len(a.root_matrix))
+    """(a∘b)(v) = a(b(v)); the word a.word + b.word need not be reduced."""
+    return WeylElement(
+        a.word + b.word,
+        _linalg.mat_mul(a.root_matrix, b.root_matrix),
+        _linalg.mat_mul(a.weight_matrix, b.weight_matrix),
+        a.sign * b.sign,
     )
-    wm = _linalg.mat_mul(a.weight_matrix, b.weight_matrix)
-    return WeylElement(a.word + b.word, rm, wm, a.sign * b.sign)
 
 
-def apply(w: WeylElement, v: Root | Weight):
-    """Apply a Weyl element to a Root or Weight."""
-    if isinstance(v, Root):
-        return w.apply_root(v)
-    return w.apply_weight(v)
+def _descent_walk(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """All of W in (length, word) order, each with its lexicographically least
+    reduced word, from the orbit of rho under the simple reflections.
+
+    Track x = w^-1 rho in fundamental-weight coordinates.  l(w s_g) > l(w)
+    exactly when x_g = <w^-1 rho, alpha_g^vee> > 0, and then
+    (w s_g)^-1 rho = s_g x.  Walking level by level, with each level in word
+    order and g ascending, the first word reaching an orbit point is the
+    least reduced word of its element.  Along the step w -> w s_g:
+
+    * root matrix: column j becomes w(s_g alpha_j) = col_j - C[j][g] col_g;
+    * weight matrix: only column g changes, to col_g - sum_k C[g][k] col_k;
+    * inversion set: N(w s_g) = s_g N(w) + {alpha_g}.
+    """
+    r, C = rs.rank, rs.cartan
+    row_nz = [tuple((k, c) for k, c in enumerate(C[g]) if c) for g in range(r)]
+    col_nz = [tuple((j, C[j][g]) for j in range(r) if C[j][g]) for g in range(r)]
+    index = rs._root_index
+    # lift[g][k]: bit of s_g(beta_k) for every positive root beta_k other than alpha_g
+    # (s_g sends alpha_g to -alpha_g and permutes the other positive roots)
+    lift = []
+    for g in range(r):
+        bits = []
+        for rt in rs.positive_roots:
+            image = list(rt.coords)
+            image[g] -= sum(a * C[k][g] for k, a in enumerate(rt.coords))
+            bits.append(0 if image[g] < 0 else 1 << index[tuple(image)])
+        lift.append(bits)
+    simple_bit = [1 << index[a.coords] for a in rs.simple_roots]
+
+    # A matrix row's update depends only on the row and g, and few distinct
+    # rows occur across W, so rows are computed once and shared.
+    @functools.cache
+    def root_row(row: tuple[int, ...], g: int) -> tuple[int, ...]:
+        m = row[g]
+        if not m:
+            return row
+        new = list(row)
+        for j, c in col_nz[g]:
+            new[j] -= c * m
+        return tuple(new)
+
+    @functools.cache
+    def weight_row(row: tuple[int, ...], g: int) -> tuple[int, ...]:
+        new = list(row)
+        new[g] -= sum(c * row[k] for k, c in row_nz[g])
+        return tuple(new)
+
+    eye = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
+    start = (1,) * r  # rho
+    level = [(start, WeylElement((), eye, eye, 1, 0))]
+    seen = {start}
+    out = []
+    while level:
+        nxt = []
+        for x, w in level:
+            out.append(w)
+            for g in range(r):
+                xg = x[g]
+                if xg <= 0:
+                    continue
+                y = list(x)
+                for k, c in row_nz[g]:
+                    y[k] -= xg * c
+                y = tuple(y)
+                if y in seen:
+                    continue
+                seen.add(y)
+                root_m = tuple([root_row(row, g) for row in w.root_matrix])
+                weight_m = tuple([weight_row(row, g) for row in w.weight_matrix])
+                inv, rest, bits = simple_bit[g], w.inversions, lift[g]
+                while rest:
+                    low = rest & -rest
+                    inv |= bits[low.bit_length() - 1]
+                    rest ^= low
+                nxt.append((y, WeylElement(w.word + (g + 1,), root_m, weight_m, -w.sign, inv)))
+        level = nxt
+    return tuple(out)
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = 10**6) -> list[WeylElement]:
-    """Complete enumeration by breadth-first closure on words.
+    """All of W in (length, word) order, each element under its
+    lexicographically least reduced word and with its inversion set.
 
-    Raises CapExceeded(|W|) without enumerating when the classical order
-    formula says the group is too large.  The long element is the unique
-    one whose root matrix maps every positive root to a negative root.
+    W is enumerated once per RootSystem, as the orbit of rho under the
+    simple reflections walked in integer arithmetic (see ``_descent_walk``),
+    and kept on it; every call returns a new list of the same elements.
+
+    The cap is checked first: CapExceeded(|W|) is raised without
+    enumerating when the product-of-degrees formula gives more than ``cap``
+    elements, so the default 10**6 refuses E7 and E8 at once.  It admits E6,
+    whose 51840 elements take 0.7-1.3 s and about 34 MB (Python 3.11 on a
+    2-core Xeon).
     """
     order = weyl_order(rs.cartan_type)
     if order > cap:
         raise CapExceeded(order, cap)
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    ident = identity_element(rs)
-    seen = {ident.root_matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                cand = compose(w, g)
-                if cand.root_matrix not in seen:
-                    seen[cand.root_matrix] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    elements = sorted(seen.values(), key=lambda w: (w.length, w.word))
-    assert len(elements) == order, f"enumerated {len(elements)}, expected {order}"
-    return elements
+    elements = getattr(rs, "_weyl_elements", None)
+    if elements is None:
+        elements = rs._weyl_elements = _descent_walk(rs)
+        assert len(elements) == order, f"enumerated {len(elements)}, expected {order}"
+    return list(elements)
 
 
 def long_element(rs: RootSystem, cap: int = 10**6) -> WeylElement:
-    for w in enumerate_weyl(rs, cap):
-        if all(not w.apply_root(a).is_positive for a in rs.simple_roots):
-            return w
-    raise RuntimeError("no long element found")  # pragma: no cover
+    """The longest element, which sends every positive root to a negative root."""
+    return enumerate_weyl(rs, cap)[-1]
 
 
 def weyl_denominator_check(

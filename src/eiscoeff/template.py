@@ -291,13 +291,11 @@ def constant_term(
     multiplying the power function with exponent w(lam)."""
     if len(lam) != rs.rank:
         raise DimensionMismatch(f"need {rs.rank} weight coordinates")
+    elements = enumerate_weyl(rs, cap)
+    c_factors = [Factor("c", pair(lam, alpha, rs), exponent=Q(1)) for alpha in rs.positive_roots]
     terms = []
-    for w in enumerate_weyl(rs, cap):
-        facs = tuple(
-            Factor("c", pair(lam, alpha, rs), exponent=Q(1))
-            for alpha in rs.positive_roots
-            if not w.apply_root(alpha).is_positive
-        )
+    for w in elements:
+        facs = tuple(f for k, f in enumerate(c_factors) if w.inversions >> k & 1)
         terms.append(
             ConstantTermTerm(w, canonicalize(FormulaExpression(facs)), w.apply_weight_forms(lam))
         )

@@ -91,6 +91,16 @@ def test_whittaker_sl2(capsys):
     assert abs(float(out) - math.exp(-2 * math.pi)) < 1e-12
 
 
+def test_whittaker_sl2_small_value_not_zeroed(capsys):
+    # 2 sqrt(5) K_{0.25i}(10 pi) is about 2.3e-14: far below 1, yet printed with its digits
+    from eiscoeff.whittaker import whittaker_sl2_arch
+
+    code, out, _ = _run(capsys, "whittaker-sl2", "--nu", "0.25i", "--y", "5")
+    assert code == 0
+    ref = whittaker_sl2_arch(0.25j, 5).value.value
+    assert abs(complex(out.strip().replace("i", "j")) - ref) <= 1e-11 * abs(ref)
+
+
 def test_zeta_completed(capsys):
     code, out, _ = _run(capsys, "zeta", "2", "--completed")
     assert code == 0

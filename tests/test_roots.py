@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -225,6 +227,109 @@ def test_cap_exceeded_e8():
     with pytest.raises(CapExceeded) as exc:
         enumerate_weyl(rs, cap=10**6)
     assert exc.value.order == 696729600
+
+
+def _reference_closure(rs):
+    """The former engine: breadth-first closure on words, composing exact
+    matrices (integer in the root basis, Fraction in the weight basis) and
+    sorting by (length, word).  Entries are (word, sign, root_matrix, weight_matrix)."""
+    r, C = rs.rank, rs.cartan
+
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)) for i in range(r))
+
+    gens = []
+    for i in range(r):
+        # s_i(alpha_j) = alpha_j - C[j][i] alpha_i;  (s_i mu)_j = mu_j - mu_i C[i][j]
+        rootm = [[int(a == b) for b in range(r)] for a in range(r)]
+        weightm = [[Q(int(a == b)) for b in range(r)] for a in range(r)]
+        for j in range(r):
+            rootm[i][j] -= C[j][i]
+            weightm[j][i] -= C[i][j]
+        gens.append(((i + 1,), -1, tuple(map(tuple, rootm)), tuple(map(tuple, weightm))))
+    eye = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
+    ident = ((), 1, eye, tuple(tuple(Q(x) for x in row) for row in eye))
+    seen = {eye: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for word, sign, rm, wm in frontier:
+            for gword, gsign, grm, gwm in gens:
+                cand = (word + gword, sign * gsign, mul(rm, grm), mul(wm, gwm))
+                if cand[2] not in seen:
+                    seen[cand[2]] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
+
+
+ENGINE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES)
+def test_enumeration_matches_reference_closure(name):
+    rs = build_root_system(name)
+    got = [(w.word, w.sign, w.root_matrix, w.weight_matrix) for w in enumerate_weyl(rs)]
+    assert got == _reference_closure(rs)
+    for w in enumerate_weyl(rs):
+        assert all(type(x) is int for row in w.weight_matrix for x in row)
+
+
+@pytest.mark.parametrize("name", ENGINE_TYPES)
+def test_inversion_sets(name):
+    rs = build_root_system(name)
+    for w in enumerate_weyl(rs):
+        want = {k for k, a in enumerate(rs.positive_roots) if not w.apply_root(a).is_positive}
+        got = {k for k in range(len(rs.positive_roots)) if w.inversions >> k & 1}
+        assert got == want
+        assert len(got) == w.length
+
+
+@pytest.mark.parametrize("name, degrees", [("F4", (2, 6, 8, 12)), ("D5", (2, 4, 5, 6, 8))])
+def test_length_distribution_is_poincare_polynomial(name, degrees):
+    # sum_w q^l(w) = prod_i (1 + q + ... + q^(d_i - 1))
+    poly = [1]
+    for d in degrees:
+        out = [0] * (len(poly) + d - 1)
+        for i, c in enumerate(poly):
+            for k in range(d):
+                out[i + k] += c
+        poly = out
+    elements = enumerate_weyl(build_root_system(name))
+    assert len(elements) == math.prod(degrees)
+    assert Counter(w.length for w in elements) == Counter(dict(enumerate(poly)))
+
+
+def _refuse_walk(rs):
+    raise AssertionError(f"enumerated {rs}")
+
+
+def test_enumeration_is_memoized(monkeypatch):
+    from eiscoeff import roots
+
+    rs = build_root_system("B3")
+    first = enumerate_weyl(rs)
+    monkeypatch.setattr(roots, "_descent_walk", _refuse_walk)
+    second = enumerate_weyl(rs)
+    assert second is not first and len(second) == 48
+    assert all(a is b for a, b in zip(first, second))
+    # each call hands out its own list
+    first.clear()
+    second.reverse()
+    assert enumerate_weyl(rs) == second[::-1]
+    # the cap is checked before the memo is consulted
+    with pytest.raises(CapExceeded):
+        enumerate_weyl(rs, cap=47)
+
+
+@pytest.mark.parametrize("name, order", [("E7", 2903040), ("E8", 696729600)])
+def test_cap_refuses_before_enumerating(monkeypatch, name, order):
+    from eiscoeff import roots
+
+    monkeypatch.setattr(roots, "_descent_walk", _refuse_walk)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_weyl(build_root_system(name), cap=10**6)
+    assert exc.value.order == order
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "G2"])
