@@ -26,12 +26,12 @@ from .symalg import (
     render_linear_form,
 )
 from .template import (
+    classical_block_parameters,
     constant_term,
     first_coefficient,
     standard_assignment,
     to_alpha_coordinates,
     to_classical,
-    _classical_block_parameters,
 )
 from .whittaker import TorusPoint, whittaker_padic, whittaker_sl2_arch
 
@@ -162,7 +162,7 @@ def _cmd_params(args) -> int:
             raise argparse.ArgumentTypeError(f"partition must sum to {n}")
         z = z_symbols(part)
         s_gl = tuple(zi + ri for zi, ri in zip(z, rho_P(part)))
-        params = eisenstein_parameters(part, s_gl, _classical_block_parameters(part))
+        params = eisenstein_parameters(part, s_gl, classical_block_parameters(part))
     body = ", ".join(render_linear_form(a, args.format) for a in params.alpha)
     print(f"({body})")
     return 0

@@ -9,7 +9,6 @@ z_i = s_i - rho_P(i).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from math import comb, prod
 from typing import Callable, Sequence
 
@@ -17,7 +16,6 @@ from .errors import DimensionMismatch
 from .glcoords import GLPartition, rho_P
 
 __all__ = [
-    "EigenvalueQuery",
     "borel_eigenvalue",
     "parabolic_eigenvalue",
     "z_exponents",
@@ -25,18 +23,6 @@ __all__ = [
 
 _MAX_M = 10**6
 _MAX_TERMS = 5 * 10**6
-
-
-@dataclass(frozen=True)
-class EigenvalueQuery:
-    n: int
-    partition: GLPartition
-    m: int
-    parameters: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be a positive integer")
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

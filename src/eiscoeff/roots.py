@@ -17,13 +17,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Sequence
 
 from . import _linalg
 from .errors import CapExceeded, DimensionMismatch
 from .symalg import LinearForm
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "CartanType",
@@ -107,10 +108,6 @@ class Weight:
     """Coefficients in the fundamental-weight basis, exact rationals."""
 
     coords: tuple[Q, ...]
-
-    @staticmethod
-    def of(values: Sequence) -> "Weight":
-        return Weight(tuple(Q(v) for v in values))
 
 
 def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
@@ -299,11 +296,6 @@ class RootSystem:
         return sum(
             Q(a) * w * d for a, w, d in zip(rt.coords, rho_like.coords, self.symmetrizer)
         )
-
-    def is_root(self, coords: tuple[int, ...]) -> bool:
-        if all(c >= 0 for c in coords):
-            return coords in self._root_index
-        return tuple(-c for c in coords) in self._root_index
 
     @property
     def all_roots(self) -> tuple[Root, ...]:
@@ -529,6 +521,8 @@ def weyl_denominator_check(
 
     Returns high-precision reals; the identity makes them equal for every eps.
     """
+    import mpmath
+
     eps = Q(epsilon)
     elements = enumerate_weyl(rs_L, cap)
     with mpmath.workdps(precision):

@@ -20,11 +20,7 @@ __all__ = [
     "LinearForm",
     "Factor",
     "FormulaExpression",
-    "ONE_FORMULA",
     "lf",
-    "lf_add",
-    "lf_sub",
-    "lf_scale",
     "canonicalize",
     "expand_c_factors",
     "render",
@@ -164,18 +160,6 @@ def lf(constant: Rational = 0, **symbol_coeffs: Rational) -> LinearForm:
     return LinearForm.build(constant, {Symbol(n): c for n, c in symbol_coeffs.items()})
 
 
-def lf_add(a: LinearForm, b: LinearForm | Rational) -> LinearForm:
-    return a + b
-
-
-def lf_sub(a: LinearForm, b: LinearForm | Rational) -> LinearForm:
-    return a - b
-
-
-def lf_scale(a: LinearForm, c: Rational) -> LinearForm:
-    return a * c
-
-
 # ---------------------------------------------------------------------------
 # Factors and formula expressions
 # ---------------------------------------------------------------------------
@@ -239,9 +223,6 @@ class FormulaExpression:
             Factor(f.kind, f.argument, f.rep, f.place, -f.exponent) for f in self.factors
         )
         return FormulaExpression(inv, self.scalar)
-
-
-ONE_FORMULA = FormulaExpression()
 
 
 def canonicalize(f: FormulaExpression) -> FormulaExpression:

@@ -35,6 +35,7 @@ __all__ = [
     "constant_term",
     "minimal_hecke_ratio_check",
     "to_alpha_coordinates",
+    "classical_block_parameters",
     "classical_substitution",
     "to_classical",
     "borel_alpha_arguments",
@@ -57,18 +58,24 @@ class SatakeAssignment:
     component_labels: dict[int, str]
     relations: tuple[LinearForm, ...] = ()
 
-    def mu_weight_coords(self) -> tuple[LinearForm, ...]:
-        """Coordinates <mu, alpha_j^vee> of the full Satake parameter."""
+    def spectral_weight_coords(self, component: int | None = None) -> list[LinearForm]:
+        """Coordinates <mu(pi), alpha_j^vee> of the spectral part alone, or of
+        one Levi component's part when ``component`` is given."""
         rs = self.parabolic.rs
-        coords = [LinearForm() for _ in range(rs.rank)]
-        for node, sym in self.s_symbols.items():
-            coords[node - 1] = coords[node - 1] + LinearForm.build(0, {sym: 1})
-        for spectral in self.levi_spectral.values():
+        parts = self.levi_spectral.values() if component is None else (self.levi_spectral[component],)
+        coords = [LinearForm()] * rs.rank
+        for spectral in parts:
             for node, coef in spectral.items():
-                for j in range(rs.rank):
-                    c = rs.cartan[node - 1][j]
+                for j, c in enumerate(rs.cartan[node - 1]):
                     if c != 0:
                         coords[j] = coords[j] + coef * c
+        return coords
+
+    def mu_weight_coords(self) -> tuple[LinearForm, ...]:
+        """Coordinates <mu, alpha_j^vee> of the full Satake parameter."""
+        coords = self.spectral_weight_coords()
+        for node, sym in self.s_symbols.items():
+            coords[node - 1] = coords[node - 1] + LinearForm.build(0, {sym: 1})
         return tuple(coords)
 
     def mu_pairing(self, alpha: Root) -> LinearForm:
@@ -77,15 +84,8 @@ class SatakeAssignment:
 
     def spectral_pairing(self, alpha: Root) -> LinearForm:
         """<mu(pi), alpha^vee> alone (no s-part)."""
-        rs = self.parabolic.rs
-        coords = [LinearForm() for _ in range(rs.rank)]
-        for spectral in self.levi_spectral.values():
-            for node, coef in spectral.items():
-                for j in range(rs.rank):
-                    c = rs.cartan[node - 1][j]
-                    if c != 0:
-                        coords[j] = coords[j] + coef * c
-        return _apply_relations(pair(coords, alpha, rs), self.relations)
+        form = pair(self.spectral_weight_coords(), alpha, self.parabolic.rs)
+        return _apply_relations(form, self.relations)
 
 
 def _apply_relations(form: LinearForm, relations: Sequence[LinearForm]) -> LinearForm:
@@ -333,7 +333,7 @@ def to_alpha_coordinates(formula: FormulaExpression, n: int) -> FormulaExpressio
     return canonicalize(FormulaExpression(tuple(out), formula.scalar))
 
 
-def _classical_block_parameters(partition: GLPartition) -> list[GLParameters | None]:
+def classical_block_parameters(partition: GLPartition) -> list[GLParameters | None]:
     """Classical spectral parameters per block: (v, -v) for GL(2) blocks,
     the standard (2v1+v2, -v1+v2, -v1-2v2) for GL(3), and zero-sum chains
     of v-symbols in general; None for GL(1) blocks."""
@@ -377,7 +377,7 @@ def classical_substitution(
         raise ValueError("partition does not match the parabolic")
     z = z_symbols(partition)
     s_gl = tuple(zi + ri for zi, ri in zip(z, rho_P(partition)))
-    blocks = _classical_block_parameters(partition)
+    blocks = classical_block_parameters(partition)
     params = eisenstein_parameters(partition, s_gl, blocks)
     mapping: dict[Symbol, LinearForm] = {}
     # spectral symbols: it_j of a block matches the j-th classical parameter
@@ -386,21 +386,12 @@ def classical_substitution(
         if block is None:
             continue
         comp = next(comp_iter)
-        spectral = assign.levi_spectral[comp.id]
-        # recover the list of symbols in node order and equate pairings:
-        # <mu(pi), beta_j^vee> = alpha_j - alpha_{j+1} of the block
+        # <mu(pi), beta_j^vee> = alpha_j - alpha_{j+1} of the block, where the
+        # root-side pairing is a LinearForm in this component's t-symbols
+        coords = assign.spectral_weight_coords(comp.id)
         for j, node in enumerate(comp.simple_indices):
-            # the root-side pairing with beta_j^vee, as a LinearForm in t-symbols
-            coords = [LinearForm() for _ in range(rs.rank)]
-            for nd, coef in spectral.items():
-                for m in range(rs.rank):
-                    c = rs.cartan[nd - 1][m]
-                    if c != 0:
-                        coords[m] = coords[m] + coef * c
-            lhs = coords[node - 1]
-            rhs = block.alpha[j] - block.alpha[j + 1]
-            # lhs is a combination of t-symbols; solve one symbol at a time
-            _accumulate_solution(mapping, lhs, rhs)
+            # solve one symbol at a time
+            _accumulate_solution(mapping, coords[node - 1], block.alpha[j] - block.alpha[j + 1])
     _resolve_mapping(mapping)
     diffs = params.difference_coords()
     for node, sym in assign.s_symbols.items():

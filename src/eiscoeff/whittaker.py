@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Sequence
 
-import numpy
-
 from ._linalg import mat, mat_inv, mat_vec
 from .errors import ConvergenceFailure, PoleAt, SingularParameter
 from .roots import RootSystem, enumerate_weyl, pair_numeric
@@ -171,15 +169,26 @@ def whittaker_sl2_arch(nu: complex, y: float) -> WhittakerValue:
 # SL(2) Jacquet integral by direct oscillatory quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(16)
+# 16-point Gauss-Legendre rule on [-1, 1], the values of numpy's
+# leggauss(16): (node, weight) for the positive nodes; the rule is symmetric.
+_GL_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+# ascending nodes, in leggauss order
+_GL_RULE = tuple((-x, w) for x, w in reversed(_GL_HALF)) + _GL_HALF
 
 
 def _gl_panel(f: Callable[[float], complex], a: float, b: float) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(
-        w * f(mid + half * x) for x, w in zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist())
-    )
+    return half * sum(w * f(mid + half * x) for x, w in _GL_RULE)
 
 
 def jacquet_sl2_quadrature(

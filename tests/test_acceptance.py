@@ -10,19 +10,10 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 from eiscoeff.cli import run as cli_run
-from eiscoeff.glcoords import GLPartition
 from eiscoeff.hecke import borel_eigenvalue
-from eiscoeff.parabolic import build_parabolic, unipotent_grading, wl_orbits
-from eiscoeff.roots import build_root_system, enumerate_weyl, weyl_denominator_check
+from eiscoeff.roots import build_root_system, enumerate_weyl
 from eiscoeff.specfun import bessel_k, c_factor, gamma_r, zeta_star
-from eiscoeff.symalg import Factor, FormulaExpression, LinearForm, Symbol, canonicalize
-from eiscoeff.template import (
-    first_coefficient,
-    minimal_hecke_ratio_check,
-    standard_assignment,
-    to_alpha_coordinates,
-    to_classical,
-)
+from eiscoeff.verifysuite import PROPERTY_TYPES, _cases_hold, _weyl_denominator_holds
 from eiscoeff.whittaker import (
     TorusPoint,
     jacquet_sl2_closed_form,
@@ -37,31 +28,6 @@ GOLDEN = Path(__file__).parent / "golden"
 def _report(number: int, description: str, ok: bool):
     print(f"criterion {number:2d} {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def _lf(const=0, **coeffs):
-    terms = {}
-    for name, c in coeffs.items():
-        imag = name.startswith("t")
-        kind = "s_variable" if name[0] in "sz" else ("classical_v" if name[0] == "v" else "spectral")
-        terms[Symbol(name, kind=kind, imaginary=imag)] = c
-    return LinearForm.build(const, terms)
-
-
-def _inv_zeta(arg):
-    return Factor("zeta_star", arg, exponent=Q(-1))
-
-
-def _inv_L(arg, rep):
-    return Factor("L_star", arg, rep=rep, exponent=Q(-1))
-
-
-def _formula(*factors, scalar="exact"):
-    return canonicalize(FormulaExpression(tuple(factors), scalar))
-
-
-def _assignment(type_name, levi):
-    return standard_assignment(build_parabolic(build_root_system(type_name), levi))
 
 
 def test_criterion_1_sl3_borel_golden(capsys):
@@ -79,25 +45,11 @@ def test_criterion_1_sl3_borel_golden(capsys):
 
 
 def test_criterion_2_sl3_21_parabolic(capsys):
-    assign = _assignment("A2", {1})
-    part = GLPartition((2, 1))
-    grouped_root = first_coefficient(assign)
-    ok = grouped_root == _formula(_inv_L(_lf(1, s=1), "π"))
-    classical = to_classical(grouped_root, assign, part)
-    ok = ok and classical == _formula(
-        _inv_L(_lf(1, z1=3), "φ"), scalar="up_to_nonzero_constant"
-    )
-    pet = to_classical(
-        first_coefficient(assign, normalization="petersson"), assign, part
-    )
-    ok = ok and pet.scalar == "up_to_nonzero_constant"
-    norm = [f for f in pet.factors if f.kind == "norm_symbol"]
-    ok = ok and len(norm) == 1 and norm[0].rep == "Ad φ" and norm[0].exponent == Q(-1, 2)
-    flat = to_classical(first_coefficient(assign, mode="flat"), assign, part)
-    ok = ok and sorted(
-        (f.argument for f in flat.factors), key=lambda a: a.sort_key()
-    ) == sorted(
-        [_lf(1, z1=3, v=1), _lf(1, z1=3, v=-1)], key=lambda a: a.sort_key()
+    ok = _cases_hold(
+        "SL(3) maximal parabolic grouped L*(s+1, pi)",
+        "SL(3) (2,1) classical grouped L*(1+3z1, phi)",
+        "petersson appends L*(1, Ad)^(-1/2)",
+        "SL(3) (2,1) classical flat arguments {1+3z1±v}",
     )
     with capsys.disabled():
         _report(2, "SL(3) (2,1): grouped, petersson factor, flat multiset", ok)
@@ -105,20 +57,11 @@ def test_criterion_2_sl3_21_parabolic(capsys):
 
 def test_criterion_3_sl4_tables(capsys):
     t0 = time.perf_counter()
-    from eiscoeff.template import borel_alpha_arguments
-
-    borel = to_alpha_coordinates(first_coefficient(_assignment("A3", set())), 4)
-    ok = borel == _formula(*(_inv_zeta(a) for a in borel_alpha_arguments(4)))
-    ok = ok and first_coefficient(_assignment("A3", {1})) == _formula(
-        _inv_L(_lf(1, s2=1), "π"),
-        _inv_L(_lf(1, s2=1, s3=1), "π"),
-        _inv_zeta(_lf(1, s3=1)),
-    )
-    ok = ok and first_coefficient(_assignment("A3", {1, 3})) == _formula(
-        _inv_L(_lf(1, s=1), "π'×π''")
-    )
-    ok = ok and first_coefficient(_assignment("A3", {1, 2})) == _formula(
-        _inv_L(_lf(1, s=1), "π")
+    ok = _cases_hold(
+        "SL(4) Borel grouped: six zeta* factors",
+        "SL(4) (2,1,1) grouped",
+        "SL(4) (2,2) grouped",
+        "SL(4) (3,1) grouped",
     )
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -128,17 +71,12 @@ def test_criterion_3_sl4_tables(capsys):
 
 def test_criterion_4_exceptional(capsys):
     t0 = time.perf_counter()
-    e8 = build_root_system("E8")
-    pe7 = build_parabolic(e8, set(range(1, 8)))
-    ok = sorted(len(o.roots) for o in wl_orbits(pe7).orbits) == [1, 56]
-    ok = ok and {j: len(v) for j, v in unipotent_grading(pe7).items()} == {1: 56, 2: 1}
-    ok = ok and first_coefficient(standard_assignment(pe7)) == _formula(
-        _inv_L(_lf(1, s=1), "π,56"), _inv_zeta(_lf(1, s=2))
-    )
-    pd7 = build_parabolic(e8, set(range(2, 9)))
-    ok = ok and sorted(len(o.roots) for o in wl_orbits(pd7).orbits) == [14, 64]
-    ok = ok and first_coefficient(standard_assignment(pd7)) == _formula(
-        _inv_L(_lf(1, s=1), "π,Spin"), _inv_L(_lf(1, s=2), "π,Stan")
+    ok = _cases_hold(
+        "E8/E7 orbit sizes {56, 1}",
+        "E8/E7 grading levels {1: 56, 2: 1}",
+        "E8/E7 formula L*(s+1, pi, 56) zeta*(2s+1)",
+        "E8/D7 orbit sizes {64, 14}",
+        "E8/D7 formula L*(s+1, pi, Spin) L*(2s+1, pi, Stan)",
     )
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
@@ -147,37 +85,13 @@ def test_criterion_4_exceptional(capsys):
 
 
 def test_criterion_5_pairing_vectors(capsys):
-    borel = _assignment("A2", set())
-    rs2 = borel.parabolic.rs
-    ok = [borel.mu_pairing(rt) for rt in rs2.positive_roots] == [
-        _lf(0, s1=1),
-        _lf(0, s2=1),
-        _lf(0, s1=1, s2=1),
-    ]
-    pairs = lambda a: {rt.coords: a.mu_pairing(rt) for rt in a.parabolic.delta_U}
-    ok = ok and pairs(_assignment("A2", {1})) == {
-        (0, 1): _lf(0, s=1, t=-1),
-        (1, 1): _lf(0, s=1, t=1),
-    }
-    ok = ok and pairs(_assignment("A3", {1, 3})) == {
-        (0, 1, 0): _lf(0, **{"s": 1, "t'": -1, "t''": -1}),
-        (1, 1, 0): _lf(0, **{"s": 1, "t'": 1, "t''": -1}),
-        (0, 1, 1): _lf(0, **{"s": 1, "t'": -1, "t''": 1}),
-        (1, 1, 1): _lf(0, **{"s": 1, "t'": 1, "t''": 1}),
-    }
-    ok = ok and pairs(_assignment("A3", {1})) == {
-        (0, 1, 0): _lf(0, s2=1, t=-1),
-        (1, 1, 0): _lf(0, s2=1, t=1),
-        (0, 0, 1): _lf(0, s3=1),
-        (0, 1, 1): _lf(0, s2=1, s3=1, t=-1),
-        (1, 1, 1): _lf(0, s2=1, s3=1, t=1),
-    }
-    # (3,1): the middle GL(3) parameter it2 = -it1-it3 is already eliminated
-    ok = ok and pairs(_assignment("A3", {1, 2})) == {
-        (0, 0, 1): _lf(0, s=1, t3=1),
-        (0, 1, 1): _lf(0, s=1, t1=-1, t3=-1),
-        (1, 1, 1): _lf(0, s=1, t1=1),
-    }
+    ok = _cases_hold(
+        "Borel SL(3) pairings (s1, s2, s1+s2)",
+        "(2,1) pairings (s-it, s+it)",
+        "(2,2) pairings s±it'±it''",
+        "(2,1,1) pairings",
+        "(3,1) pairings with t2 = -t1-t3 applied",
+    )
     with capsys.disabled():
         _report(5, "pairing vectors for Borel, (2,1), (2,2), (2,1,1), (3,1)", ok)
 
@@ -250,31 +164,15 @@ def test_criterion_8_special_functions(capsys):
 
 
 def test_criterion_9_structural_identities(capsys):
-    ok = True
-    for name in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "E6", "E7", "E8", "F4", "G2"):
-        rs = build_root_system(name)
-        total = [0] * rs.rank
-        for rt in rs.positive_roots:
-            for i, c in enumerate(rt.coords):
-                total[i] += c
-        wcoords = [
-            sum(total[k] * rs.cartan[k][j] for k in range(rs.rank)) for j in range(rs.rank)
-        ]
-        ok = ok and wcoords == [2] * rs.rank
-        for i, a in enumerate(rs.simple_roots):
-            for j, b in enumerate(rs.simple_roots):
-                expect = 2 if i == j else rs.cartan[i][j]
-                ok = ok and rs.pairing_root_coroot(a, b) == expect
-    for name in ("A1", "A2", "A3", "A4", "D4"):
-        rs = build_root_system(name)
-        for eps in (Q(1, 100), Q(1, 10), Q(1)):
-            lhs, rhs = weyl_denominator_check(rs, eps)
-            ok = ok and abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    configs = [
-        ("A2", set()), ("A2", {1}), ("A2", {2}), ("A3", {1}), ("A3", {1, 3}),
-        ("A3", {1, 2}), ("A4", {1, 2, 4}), ("A4", {2, 3}), ("D4", {1, 3, 4}), ("D4", {2}),
-    ]
-    ok = ok and all(minimal_hecke_ratio_check(_assignment(t, s)) for t, s in configs)
+    ok = _cases_hold(
+        *(f"{name}: sum of positive roots = 2 rho; coroot duality" for name in PROPERTY_TYPES),
+        "Levi cancellation identity on 10 parabolic configurations",
+    )
+    ok = ok and all(
+        _weyl_denominator_holds(name, eps)
+        for name in ("A1", "A2", "A3", "A4", "D4")
+        for eps in (Q(1, 100), Q(1, 10), Q(1))
+    )
     with capsys.disabled():
         _report(9, "2rho identity, duality, Weyl denominator, Levi cancellation x10", ok)
 

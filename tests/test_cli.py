@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,6 +182,32 @@ def test_verify_properties_suite(capsys):
     code, out, _ = _run(capsys, "verify", "--suite", "properties")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_failure_exit_4(capsys, monkeypatch):
+    from eiscoeff import verifysuite
+
+    cases = (verifysuite.PAPER_CASES[0], ("injected failing case", lambda: False))
+    monkeypatch.setattr(verifysuite, "PAPER_CASES", cases)
+    code, out, _ = _run(capsys, "verify", "--suite", "paper")
+    assert code == 4
+    assert out == "ok A2 positive roots {a1, a2, a1+a2}\nFAIL injected failing case\n1/2 checks passed\n"
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    import eiscoeff
+
+    src = str(Path(eiscoeff.__file__).resolve().parents[1])
+    probe = "import sys, eiscoeff; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_outputs_newline_terminated(capsys):

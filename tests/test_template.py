@@ -3,204 +3,102 @@ from fractions import Fraction as Q
 
 import pytest
 
-from eiscoeff.glcoords import GLPartition
-from eiscoeff.parabolic import build_parabolic, wl_orbits
+from eiscoeff.glcoords import GLPartition, eisenstein_parameters, rho_P, z_symbols
+from eiscoeff.parabolic import wl_orbits
 from eiscoeff.roots import build_root_system
-from eiscoeff.symalg import (
-    Factor,
-    FormulaExpression,
-    LinearForm,
-    Symbol,
-    canonicalize,
-    expand_c_factors,
-    render,
-)
+from eiscoeff.symalg import LinearForm, Symbol, expand_c_factors
 from eiscoeff.template import (
-    borel_alpha_arguments,
+    classical_block_parameters,
     classical_substitution,
     constant_term,
     first_coefficient,
     minimal_hecke_ratio_check,
-    standard_assignment,
-    to_alpha_coordinates,
     to_classical,
+)
+from eiscoeff.verifysuite import (
+    _assignment,
+    _cases_hold,
+    _formula,
+    _grouped_expands_to_flat,
+    _inv_L,
+    _inv_zeta,
+    _lf,
 )
 
 
-def _lf(const=0, **coeffs):
-    terms = {}
-    for name, c in coeffs.items():
-        imag = name.startswith("t")
-        kind = "s_variable" if name[0] in "sz" else ("classical_v" if name[0] == "v" else "spectral")
-        terms[Symbol(name.replace("_p", "'"), kind=kind, imaginary=imag)] = c
-    return LinearForm.build(const, terms)
-
-
-def _assignment(type_name, levi):
-    rs = build_root_system(type_name)
-    return standard_assignment(build_parabolic(rs, levi))
-
-
-def _inv_zeta(arg):
-    return Factor("zeta_star", arg, exponent=Q(-1))
-
-
-def _inv_L(arg, rep):
-    return Factor("L_star", arg, rep=rep, exponent=Q(-1))
-
-
-# -- SL(3) --------------------------------------------------------------------
+# -- worked examples: each runs its cases of the verify catalogue -----------------
 
 
 def test_borel_a2_flat_alpha_coordinates():
-    assign = _assignment("A2", set())
-    flat = first_coefficient(assign, mode="flat")
-    alpha = to_alpha_coordinates(flat, 3)
-    expected = canonicalize(
-        FormulaExpression(tuple(_inv_zeta(arg) for arg in borel_alpha_arguments(3)))
-    )
-    assert alpha == expected
-    assert render(alpha, "latex") == (
-        r"\left(\zeta^*(1+\alpha_1-\alpha_2)\zeta^*(1+\alpha_2-\alpha_3)"
-        r"\zeta^*(1+\alpha_1-\alpha_3)\right)^{-1}"
-    )
+    assert _cases_hold("SL(3) Borel first coefficient (three zeta* factors)", "SL(3) Borel latex rendering")
 
 
 def test_maximal_parabolic_a2_grouped_and_flat():
-    assign = _assignment("A2", {1})
-    grouped = first_coefficient(assign, mode="grouped")
-    assert grouped == canonicalize(FormulaExpression((_inv_L(_lf(1, s=1), "π"),)))
-    flat = first_coefficient(assign, mode="flat")
-    args = sorted((f.argument for f in flat.factors), key=lambda a: a.sort_key())
-    assert set(args) == {_lf(1, s=1, t=-1), _lf(1, s=1, t=1)}
-    assert render(grouped, "text") == "L*(s+1,π)^-1"
+    assert _cases_hold("SL(3) maximal parabolic grouped L*(s+1, pi)")
 
 
 def test_petersson_normalization_appends_adjoint_factor():
-    assign = _assignment("A2", {1})
-    f = first_coefficient(assign, normalization="petersson")
-    assert f.scalar == "up_to_nonzero_constant"
-    norm = [fac for fac in f.factors if fac.kind == "norm_symbol"]
-    assert len(norm) == 1
-    assert norm[0].rep == "Ad π"
-    assert norm[0].exponent == Q(-1, 2)
-    assert norm[0].argument == LinearForm(Q(1))
-
-
-# -- SL(4) table in root-system coordinates -----------------------------------
+    assert _cases_hold("petersson appends L*(1, Ad)^(-1/2)")
 
 
 def test_sl4_borel_grouped_is_six_zetas():
-    assign = _assignment("A3", set())
-    f = first_coefficient(assign)
-    assert len(f.factors) == 6
-    assert all(fac.kind == "zeta_star" and fac.exponent == Q(-1) for fac in f.factors)
-    alpha = to_alpha_coordinates(f, 4)
-    assert {fac.argument for fac in alpha.factors} == set(borel_alpha_arguments(4))
+    assert _cases_hold("SL(4) Borel grouped: six zeta* factors")
 
 
 def test_sl4_211_grouped():
-    assign = _assignment("A3", {1})
-    f = first_coefficient(assign)
-    expected = canonicalize(
-        FormulaExpression(
-            (
-                _inv_L(_lf(1, s2=1), "π"),
-                _inv_L(_lf(1, s2=1, s3=1), "π"),
-                _inv_zeta(_lf(1, s3=1)),
-            )
-        )
-    )
-    assert f == expected
-    assert render(f, "text") == "L*(s2+1,π)^-1 · L*(s2+s3+1,π)^-1 · ζ*(s3+1)^-1"
+    assert _cases_hold("SL(4) (2,1,1) grouped")
 
 
 def test_sl4_22_grouped():
-    assign = _assignment("A3", {1, 3})
-    f = first_coefficient(assign)
-    assert f == canonicalize(FormulaExpression((_inv_L(_lf(1, s=1), "π'×π''"),)))
-    assert render(f, "text") == "L*(s+1,π'×π'')^-1"
+    assert _cases_hold("SL(4) (2,2) grouped")
 
 
 def test_sl4_31_grouped():
-    assign = _assignment("A3", {1, 2})
-    f = first_coefficient(assign)
-    assert f == canonicalize(FormulaExpression((_inv_L(_lf(1, s=1), "π"),)))
-
-
-# -- pairing vectors from the worked examples ----------------------------------
+    assert _cases_hold("SL(4) (3,1) grouped")
 
 
 def test_pairings_borel_a2():
-    assign = _assignment("A2", set())
-    p = assign.parabolic
-    pairs = [assign.mu_pairing(rt) for rt in p.rs.positive_roots]
-    assert pairs == [_lf(0, s1=1), _lf(0, s2=1), _lf(0, s1=1, s2=1)]
+    assert _cases_hold("Borel SL(3) pairings (s1, s2, s1+s2)")
 
 
 def test_pairings_21():
-    assign = _assignment("A2", {1})
-    pairs = {rt.coords: assign.mu_pairing(rt) for rt in assign.parabolic.delta_U}
-    assert pairs == {(0, 1): _lf(0, s=1, t=-1), (1, 1): _lf(0, s=1, t=1)}
+    assert _cases_hold("(2,1) pairings (s-it, s+it)")
 
 
 def test_pairings_22():
-    assign = _assignment("A3", {1, 3})
-    pairs = {rt.coords: assign.mu_pairing(rt) for rt in assign.parabolic.delta_U}
-    tp, tpp = "t'", "t''"
-    assert pairs == {
-        (0, 1, 0): _lf(0, **{"s": 1, tp: -1, tpp: -1}),
-        (1, 1, 0): _lf(0, **{"s": 1, tp: 1, tpp: -1}),
-        (0, 1, 1): _lf(0, **{"s": 1, tp: -1, tpp: 1}),
-        (1, 1, 1): _lf(0, **{"s": 1, tp: 1, tpp: 1}),
-    }
+    assert _cases_hold("(2,2) pairings s±it'±it''")
 
 
 def test_pairings_211():
-    assign = _assignment("A3", {1})
-    pairs = {rt.coords: assign.mu_pairing(rt) for rt in assign.parabolic.delta_U}
-    assert pairs == {
-        (0, 1, 0): _lf(0, s2=1, t=-1),
-        (1, 1, 0): _lf(0, s2=1, t=1),
-        (0, 0, 1): _lf(0, s3=1),
-        (0, 1, 1): _lf(0, s2=1, s3=1, t=-1),
-        (1, 1, 1): _lf(0, s2=1, s3=1, t=1),
-    }
+    assert _cases_hold("(2,1,1) pairings")
 
 
 def test_pairings_31_with_relation_applied():
-    assign = _assignment("A3", {1, 2})
-    pairs = {rt.coords: assign.mu_pairing(rt) for rt in assign.parabolic.delta_U}
-    assert pairs == {
-        (0, 0, 1): _lf(0, s=1, t3=1),
-        (0, 1, 1): _lf(0, s=1, t1=-1, t3=-1),  # printed s+it2 via t2 = -t1-t3
-        (1, 1, 1): _lf(0, s=1, t1=1),
-    }
-
-
-# -- exceptional examples -------------------------------------------------------
+    assert _cases_hold("(3,1) pairings with t2 = -t1-t3 applied")
 
 
 def test_e8_e7_formula():
-    assign = _assignment("E8", set(range(1, 8)))
-    f = first_coefficient(assign)
-    expected = canonicalize(
-        FormulaExpression((_inv_L(_lf(1, s=1), "π,56"), _inv_zeta(_lf(1, s=2))))
-    )
-    assert f == expected
-    assert render(f, "text") == "L*(s+1,π,56)^-1 · ζ*(2s+1)^-1"
+    assert _cases_hold("E8/E7 formula L*(s+1, pi, 56) zeta*(2s+1)")
 
 
 def test_e8_d7_formula():
-    assign = _assignment("E8", set(range(2, 9)))
-    f = first_coefficient(assign)
-    expected = canonicalize(
-        FormulaExpression(
-            (_inv_L(_lf(1, s=1), "π,Spin"), _inv_L(_lf(1, s=2), "π,Stan"))
-        )
+    assert _cases_hold("E8/D7 formula L*(s+1, pi, Spin) L*(2s+1, pi, Stan)")
+
+
+def test_constant_term_a1():
+    assert _cases_hold("A1 constant term {e: 1, s1: c(2nu)}")
+
+
+def test_constant_term_a2_term_count_and_wlong():
+    assert _cases_hold("A2 constant term: 6 terms, w_long has 3 c-factors")
+
+
+def test_classical_21():
+    assert _cases_hold(
+        "(2,1) Eisenstein parameters (z1+v, z1-v, -2z1)",
+        "SL(3) (2,1) classical grouped L*(1+3z1, phi)",
+        "SL(3) (2,1) classical flat arguments {1+3z1±v}",
     )
-    assert f == expected
-    assert render(f, "text") == "L*(s+1,π,Spin)^-1 · L*(2s+1,π,Stan)^-1"
 
 
 # -- structural properties -------------------------------------------------------
@@ -223,15 +121,9 @@ def test_e8_d7_formula():
 )
 def test_flat_and_grouped_have_identical_flat_expansions(type_name, levi):
     assign = _assignment(type_name, levi)
-    flat = first_coefficient(assign, mode="flat")
-    grouped = first_coefficient(assign, mode="grouped")
-    flat_args = sorted((f.argument for f in flat.factors), key=lambda a: a.sort_key())
-    expanded = []
-    for orbit in wl_orbits(assign.parabolic).orbits:
-        for rt in orbit.roots:
-            expanded.append(assign.mu_pairing(rt) + 1)
-    assert sorted(expanded, key=lambda a: a.sort_key()) == flat_args
+    assert _grouped_expands_to_flat(assign)
     # grouped exponent count matches the orbit count
+    grouped = first_coefficient(assign, mode="grouped")
     assert len(grouped.factors) == len(wl_orbits(assign.parabolic).orbits)
 
 
@@ -278,43 +170,6 @@ def test_borel_flat_factor_count():
 # -- constant term ---------------------------------------------------------------
 
 
-def test_constant_term_a1():
-    rs = build_root_system("A1")
-    nu = Symbol("nu")
-    lam = (LinearForm.build(0, {nu: 2}),)  # lambda = nu * alpha
-    exp = constant_term(rs, lam)
-    assert len(exp.terms) == 2
-    by_len = {t.weyl.length: t for t in exp.terms}
-    assert by_len[0].coefficient.factors == ()
-    coef = by_len[1].coefficient
-    assert len(coef.factors) == 1
-    assert coef.factors[0].kind == "c"
-    assert coef.factors[0].argument == LinearForm.build(0, {nu: 2})
-    assert by_len[1].exponent == (LinearForm.build(0, {nu: -2}),)
-
-
-def test_constant_term_a2_term_count_and_wlong():
-    rs = build_root_system("A2")
-    n1, n2 = Symbol("nu1"), Symbol("nu2")
-    # lambda = nu1 alpha_1 + nu2 alpha_2 in weight coordinates
-    lam = (
-        LinearForm.build(0, {n1: 2, n2: -1}),
-        LinearForm.build(0, {n2: 2, n1: -1}),
-    )
-    exp = constant_term(rs, lam)
-    assert len(exp.terms) == 6
-    wlong_terms = [t for t in exp.terms if t.weyl.length == 3]
-    assert len(wlong_terms) == 1
-    coef = wlong_terms[0].coefficient
-    assert len(coef.factors) == 3
-    expected_args = {
-        LinearForm.build(0, {n1: 2, n2: -1}),
-        LinearForm.build(0, {n2: 2, n1: -1}),
-        LinearForm.build(0, {n1: 1, n2: 1}),
-    }
-    assert {f.argument for f in coef.factors} == expected_args
-
-
 def test_constant_term_c_expansion():
     rs = build_root_system("A1")
     nu = Symbol("nu")
@@ -341,31 +196,12 @@ def test_constant_term_exponents_distinct_at_generic_numeric_point():
 # -- classical coordinates --------------------------------------------------------
 
 
-def test_classical_21():
-    assign = _assignment("A2", {1})
-    part = GLPartition((2, 1))
-    mapping, params = classical_substitution(assign, part)
-    z1 = _lf(0, z1=1)
-    v = _lf(0, v=1)
-    assert params.alpha == (z1 + v, z1 - v, -2 * z1)
-    grouped = first_coefficient(assign)
-    classical = to_classical(grouped, assign, part)
-    assert classical.scalar == "up_to_nonzero_constant"
-    assert classical == canonicalize(
-        FormulaExpression((_inv_L(3 * z1 + 1, "φ"),), "up_to_nonzero_constant")
-    )
-    flat = to_classical(first_coefficient(assign, mode="flat"), assign, part)
-    assert {f.argument for f in flat.factors} == {3 * z1 + 1 + v, 3 * z1 + 1 - v}
-
-
 def test_classical_22():
     assign = _assignment("A3", {1, 3})
     part = GLPartition((2, 2))
     grouped = to_classical(first_coefficient(assign), assign, part)
     z1 = _lf(0, z1=1)
-    assert grouped == canonicalize(
-        FormulaExpression((_inv_L(2 * z1 + 1, "φ1×φ2"),), "up_to_nonzero_constant")
-    )
+    assert grouped == _formula(_inv_L(2 * z1 + 1, "φ1×φ2"), scalar="up_to_nonzero_constant")
 
 
 def test_classical_211():
@@ -374,17 +210,12 @@ def test_classical_211():
     grouped = to_classical(first_coefficient(assign), assign, part)
     z1, z2 = _lf(0, z1=1), _lf(0, z2=1)
     z3 = -2 * z1 - z2
-    expected = canonicalize(
-        FormulaExpression(
-            (
-                _inv_L(z1 - z2 + 1, "φ"),
-                _inv_L(z1 - z3 + 1, "φ"),
-                _inv_zeta(z2 - z3 + 1),
-            ),
-            "up_to_nonzero_constant",
-        )
+    assert grouped == _formula(
+        _inv_L(z1 - z2 + 1, "φ"),
+        _inv_L(z1 - z3 + 1, "φ"),
+        _inv_zeta(z2 - z3 + 1),
+        scalar="up_to_nonzero_constant",
     )
-    assert grouped == expected
 
 
 def test_classical_31():
@@ -392,20 +223,15 @@ def test_classical_31():
     part = GLPartition((3, 1))
     grouped = to_classical(first_coefficient(assign), assign, part)
     z1 = _lf(0, z1=1)
-    assert grouped == canonicalize(
-        FormulaExpression((_inv_L(4 * z1 + 1, "φ"),), "up_to_nonzero_constant")
-    )
+    assert grouped == _formula(_inv_L(4 * z1 + 1, "φ"), scalar="up_to_nonzero_constant")
 
 
 def _gl_pairs_oracle(partition):
     """Independent classical route: one zeta* factor per matrix position
     (j, k) outside the Levi blocks, with argument 1 + alpha_j - alpha_k."""
-    from eiscoeff.glcoords import eisenstein_parameters, rho_P, z_symbols
-    from eiscoeff.template import _classical_block_parameters
-
     z = z_symbols(partition)
     s_gl = tuple(zi + ri for zi, ri in zip(z, rho_P(partition)))
-    params = eisenstein_parameters(partition, s_gl, _classical_block_parameters(partition))
+    params = eisenstein_parameters(partition, s_gl, classical_block_parameters(partition))
     blocks = []
     start = 0
     for p in partition.parts:

@@ -168,6 +168,20 @@ def test_jacquet_times_gamma_r_matches_canonical():
         assert abs(jac * gamma_r(2 * nu + 1).value - canon) <= 1e-6
 
 
+def test_gauss_legendre_rule_is_exact_to_degree_31():
+    from eiscoeff.whittaker import _GL_RULE
+
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x**k for x, w in _GL_RULE) - exact) <= 1e-15
+    try:
+        import numpy
+    except ImportError:
+        return
+    nodes, weights = numpy.polynomial.legendre.leggauss(16)
+    assert _GL_RULE == tuple(zip(nodes.tolist(), weights.tolist()))
+
+
 def test_jacquet_requires_positive_real_part():
     with pytest.raises(ValueError):
         jacquet_sl2_quadrature(-0.1, 1.0)
