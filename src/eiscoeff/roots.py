@@ -192,13 +192,10 @@ class RootSystem:
         self.cartan_type = ctype
         self.rank = ctype.rank
         self.cartan = cartan_matrix(ctype)
-        self._cartan_q = _linalg.mat(self.cartan)
-        self._cartan_inv = _linalg.mat_inv(self._cartan_q)
-        self._cartan_t_inv = _linalg.mat_inv(_linalg.transpose(self._cartan_q))
         self.symmetrizer = _symmetrizer(self.cartan)
         self.positive_roots = self._generate_positive_roots()
         self._root_index = {rt.coords: i for i, rt in enumerate(self.positive_roots)}
-        self.coroot_coeffs = {rt: self._coroot_expansion(rt) for rt in self.positive_roots}
+        self.coroot_coeffs = self._coroot_expansions()
         self.rho = Weight(tuple(Q(1) for _ in range(self.rank)))
         self.simple_roots = tuple(
             Root(tuple(1 if j == i else 0 for j in range(self.rank))) for i in range(self.rank)
@@ -206,63 +203,60 @@ class RootSystem:
 
     # -- construction -------------------------------------------------------
 
-    def _pairing_with_simple(self, coords: Sequence[int], i: int) -> int:
-        return sum(c * self.cartan[k][i] for k, c in enumerate(coords))
-
     def _generate_positive_roots(self) -> tuple[Root, ...]:
         # closure under root strings: beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0,
-        # where p counts how far the string extends below beta
-        known: set[tuple[int, ...]] = set()
-        for i in range(self.rank):
-            known.add(tuple(1 if j == i else 0 for j in range(self.rank)))
+        # where p counts how far the string extends below beta.  Each root is
+        # kept with its pairings <beta, alpha_j^vee>; those of beta + alpha_i
+        # are the same plus row i of the Cartan matrix.
+        r, C = self.rank, self.cartan
+        known = {tuple(int(j == i) for j in range(r)): C[i] for i in range(r)}
         frontier = list(known)
         while frontier:
             new: list[tuple[int, ...]] = []
             for coords in frontier:
-                for i in range(self.rank):
+                pairings = known[coords]
+                for i in range(r):
                     p = 0
                     below = list(coords)
-                    while True:
+                    while below[i] > 0:
                         below[i] -= 1
-                        if any(c < 0 for c in below) or tuple(below) not in known:
+                        if tuple(below) not in known:
                             break
                         p += 1
-                    q = p - self._pairing_with_simple(coords, i)
-                    if q > 0:
+                    if p > pairings[i]:
                         up = list(coords)
                         up[i] += 1
                         t = tuple(up)
                         if t not in known:
-                            known.add(t)
+                            known[t] = tuple(a + b for a, b in zip(pairings, C[i]))
                             new.append(t)
             frontier = new
         roots = [Root(c) for c in known]
         roots.sort(key=Root.key)
         return tuple(roots)
 
-    def _coroot_expansion(self, rt: Root) -> tuple[int, ...]:
-        # alpha^vee = sum_i (b_i d_i / d_alpha) alpha_i^vee with d_alpha = (alpha,alpha)/2
-        d_alpha = self.root_length_sq(rt) / 2
-        out = []
-        for b, d in zip(rt.coords, self.symmetrizer):
-            c = Q(b) * d / d_alpha
-            if c.denominator != 1:
-                raise RuntimeError(f"non-integral coroot coefficient for {rt}")
-            out.append(int(c))
-        return tuple(out)
+    def _coroot_expansions(self) -> dict[Root, tuple[int, ...]]:
+        # alpha^vee = sum_i (2 b_i d_i / (alpha, alpha)) alpha_i^vee.  With the
+        # symmetrizer scaled to integers D_i = L d_i, n = L (alpha, alpha) =
+        # sum_ij b_i b_j C_ij D_j and c_i = 2 b_i D_i / n, all in integers.
+        scale = math.lcm(*(d.denominator for d in self.symmetrizer))
+        D = [int(d * scale) for d in self.symmetrizer]
+        CD = [[c * d for c, d in zip(row, D)] for row in self.cartan]
+        out = {}
+        for rt in self.positive_roots:
+            b = rt.coords
+            support = [(i, x) for i, x in enumerate(b) if x]
+            n = sum(x * sum(CD[i][j] * y for j, y in support) for i, x in support)
+            coeffs = []
+            for x, d in zip(b, D):
+                c, rem = divmod(2 * x * d, n)
+                if rem:
+                    raise RuntimeError(f"non-integral coroot coefficient for {rt}")
+                coeffs.append(c)
+            out[rt] = tuple(coeffs)
+        return out
 
     # -- exact geometry ------------------------------------------------------
-
-    def root_length_sq(self, rt: Root) -> Q:
-        # (alpha, alpha) = a^T (C D) a with D = diag(symmetrizer)
-        total = Q(0)
-        for i, a in enumerate(rt.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(rt.coords):
-                if b != 0:
-                    total += Q(a * b) * self.cartan[i][j] * self.symmetrizer[j]
-        return total
 
     def coroot(self, rt: Root) -> tuple[int, ...]:
         if rt.is_positive:
@@ -271,21 +265,15 @@ class RootSystem:
 
     def pairing_root_coroot(self, alpha: Root, beta: Root) -> int:
         """<alpha, beta^vee> as an exact integer."""
-        cor = self.coroot(beta)
-        return sum(
-            a * sum(cor[i] * self.cartan[k][i] for i in range(self.rank))
-            for k, a in enumerate(alpha.coords)
-        )
-
-    def root_to_weight_coords(self, rt: Root) -> tuple[Q, ...]:
-        # alpha = sum_j <alpha, alpha_j^vee> varpi_j
-        return tuple(
-            Q(sum(a * self.cartan[k][j] for k, a in enumerate(rt.coords)))
-            for j in range(self.rank)
-        )
+        cor = [(i, c) for i, c in enumerate(self.coroot(beta)) if c]
+        C = self.cartan
+        return sum(a * sum(c * C[k][i] for i, c in cor) for k, a in enumerate(alpha.coords) if a)
 
     def weight_to_root_coords(self, w: Weight) -> tuple[Q, ...]:
-        return _linalg.mat_vec(self._cartan_t_inv, w.coords)
+        inv = getattr(self, "_cartan_t_inv", None)
+        if inv is None:  # only the Weyl denominator check needs it
+            inv = self._cartan_t_inv = _linalg.mat_inv(_linalg.transpose(_linalg.mat(self.cartan)))
+        return _linalg.mat_vec(inv, w.coords)
 
     def weight_inner(self, mu: Weight, nu: Weight) -> Q:
         """(mu, nu) with (alpha,alpha)=2 on long roots."""
@@ -321,11 +309,7 @@ def pair(lam: Sequence[LinearForm], alpha: Root, rs: RootSystem) -> LinearForm:
     fundamental-weight basis: sum_i c_i(alpha^vee) * lam_i."""
     if len(lam) != rs.rank:
         raise DimensionMismatch(f"weight has {len(lam)} coords, rank is {rs.rank}")
-    out = LinearForm()
-    for c, form in zip(rs.coroot(alpha), lam):
-        if c != 0:
-            out = out + form * c
-    return out
+    return LinearForm.combine((form, c) for c, form in zip(rs.coroot(alpha), lam) if c)
 
 
 def pair_numeric(coords: Sequence[complex], alpha: Root, rs: RootSystem) -> complex:

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "Symbol",
@@ -52,7 +52,11 @@ class Symbol:
     imaginary: bool = False
 
     def sort_key(self) -> tuple:
-        return _natural_key(self.name) + (self.imaginary,)
+        # computed once per instance and kept outside the compared fields
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            key = self.__dict__["_sort_key"] = _natural_key(self.name) + (self.imaginary,)
+        return key
 
     @property
     def is_spectral(self) -> bool:
@@ -70,11 +74,28 @@ class LinearForm:
     def build(constant: Rational = 0, terms: Mapping[Symbol, Rational] | None = None) -> "LinearForm":
         items = []
         for sym, coef in (terms or {}).items():
-            c = Q(coef)
+            c = coef if type(coef) is Q else Q(coef)
             if c != 0:
                 items.append((sym, c))
         items.sort(key=lambda t: t[0].sort_key())
         return LinearForm(Q(constant), tuple(items))
+
+    @staticmethod
+    def combine(parts: Iterable[tuple["LinearForm", Rational]], constant: Rational = 0) -> "LinearForm":
+        """constant + sum(scale * form for form, scale in parts), built once.
+
+        Integral coefficients with integer scales are summed as ints."""
+        const = Q(constant)
+        acc: dict[Symbol, Rational] = {}
+        for form, scale in parts:
+            if form.constant:
+                const += form.constant * scale
+            whole = type(scale) is int
+            for sym, coef in form.terms:
+                v = coef.numerator * scale if whole and coef.denominator == 1 else coef * scale
+                old = acc.get(sym)
+                acc[sym] = v if old is None else old + v
+        return LinearForm.build(const, acc)
 
     def as_dict(self) -> dict[Symbol, Q]:
         return dict(self.terms)
@@ -113,13 +134,11 @@ class LinearForm:
         return any(s.is_spectral for s, _ in self.terms)
 
     def substitute(self, mapping: Mapping[Symbol, "LinearForm"]) -> "LinearForm":
-        out = LinearForm(self.constant)
-        for sym, coef in self.terms:
-            if sym in mapping:
-                out = out + mapping[sym] * coef
-            else:
-                out = out + LinearForm.build(0, {sym: coef})
-        return out
+        return LinearForm.combine(
+            ((mapping[sym] if sym in mapping else LinearForm(Q(0), ((sym, Q(1)),)), coef)
+             for sym, coef in self.terms),
+            self.constant,
+        )
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         total = complex(self.constant)
@@ -146,10 +165,14 @@ class LinearForm:
         return (max(idxs) - min(idxs), min(idxs))
 
     def sort_key(self) -> tuple:
-        term_key = tuple(
-            s.sort_key() + (c.numerator, c.denominator) for s, c in self.terms
-        )
-        return self._span_key() + (term_key, self.constant.numerator, self.constant.denominator)
+        # computed once per instance and kept outside the compared fields, so
+        # equality and hashing still see only (constant, terms)
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            term_key = tuple(s.sort_key() + (c.numerator, c.denominator) for s, c in self.terms)
+            key = self._span_key() + (term_key, self.constant.numerator, self.constant.denominator)
+            self.__dict__["_sort_key"] = key
+        return key
 
     def __str__(self) -> str:
         return render_linear_form(self, "text")

@@ -48,55 +48,60 @@ _REP_ALIASES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SatakeAssignment:
-    """Symbols and spectral data attached to one standard parabolic."""
+    """Symbols and spectral data attached to one standard parabolic.
+
+    The weight coordinates of mu are built once, at construction, and each
+    pairing <mu, alpha^vee> once, on first use.  The fields cannot be
+    reassigned, so neither goes stale; the dicts they hold are not to be
+    mutated either.
+    """
 
     parabolic: ParabolicData
     s_symbols: dict[int, Symbol]  # Sigma^L node -> symbol
     levi_spectral: dict[int, dict[int, LinearForm]]  # component id -> {node -> coefficient}
     component_labels: dict[int, str]
-    relations: tuple[LinearForm, ...] = ()
+
+    def __post_init__(self):
+        self.__dict__["_spectral_coords"] = tuple(self.spectral_weight_coords())
+        self.__dict__["_mu_pairings"] = {}  # root -> <mu, alpha^vee>
+        self.mu_weight_coords()
 
     def spectral_weight_coords(self, component: int | None = None) -> list[LinearForm]:
         """Coordinates <mu(pi), alpha_j^vee> of the spectral part alone, or of
         one Levi component's part when ``component`` is given."""
         rs = self.parabolic.rs
         parts = self.levi_spectral.values() if component is None else (self.levi_spectral[component],)
-        coords = [LinearForm()] * rs.rank
+        terms: list[list[tuple[LinearForm, int]]] = [[] for _ in range(rs.rank)]
         for spectral in parts:
             for node, coef in spectral.items():
                 for j, c in enumerate(rs.cartan[node - 1]):
                     if c != 0:
-                        coords[j] = coords[j] + coef * c
-        return coords
+                        terms[j].append((coef, c))
+        return [LinearForm.combine(t) for t in terms]
 
     def mu_weight_coords(self) -> tuple[LinearForm, ...]:
-        """Coordinates <mu, alpha_j^vee> of the full Satake parameter."""
-        coords = self.spectral_weight_coords()
-        for node, sym in self.s_symbols.items():
-            coords[node - 1] = coords[node - 1] + LinearForm.build(0, {sym: 1})
-        return tuple(coords)
+        """Coordinates <mu, alpha_j^vee> of the full Satake parameter, built
+        on the first call and kept."""
+        coords = self.__dict__.get("_mu_coords")
+        if coords is None:
+            coords = list(self._spectral_coords)
+            for node, sym in self.s_symbols.items():
+                coords[node - 1] = coords[node - 1] + LinearForm.build(0, {sym: 1})
+            coords = self.__dict__["_mu_coords"] = tuple(coords)
+        return coords
 
     def mu_pairing(self, alpha: Root) -> LinearForm:
-        form = pair(self.mu_weight_coords(), alpha, self.parabolic.rs)
-        return _apply_relations(form, self.relations)
+        table = self._mu_pairings
+        form = table.get(alpha)
+        if form is None:
+            form = table[alpha] = pair(self._mu_coords, alpha, self.parabolic.rs)
+        return form
 
     def spectral_pairing(self, alpha: Root) -> LinearForm:
         """<mu(pi), alpha^vee> alone (no s-part)."""
-        form = pair(self.spectral_weight_coords(), alpha, self.parabolic.rs)
-        return _apply_relations(form, self.relations)
-
-
-def _apply_relations(form: LinearForm, relations: Sequence[LinearForm]) -> LinearForm:
-    for rel in relations:
-        if not rel.terms:
-            raise ValueError("relation with no symbols cannot be solved")
-        # eliminate the symbol latest in the canonical symbol order
-        sym, coef = max(rel.terms, key=lambda t: t[0].sort_key())
-        rest = rel - LinearForm.build(0, {sym: coef})
-        form = form.substitute({sym: rest * (Q(-1) / coef)})
-    return form
+        return pair(self._spectral_coords, alpha, self.parabolic.rs)
 
 
 _PRIMES = ("", "'", "''", "'''", "''''")
@@ -174,10 +179,8 @@ def standard_assignment(
 
 
 def _orbit_common_argument(assign: SatakeAssignment, orbit_roots: Sequence[Root]) -> LinearForm:
-    total = LinearForm()
-    for rt in orbit_roots:
-        total = total + assign.mu_pairing(rt) + 1
-    common = total * Q(1, len(orbit_roots))
+    n = len(orbit_roots)
+    common = LinearForm.combine(((assign.mu_pairing(rt), Q(1, n)) for rt in orbit_roots), 1)
     if common.has_spectral_symbol():
         raise ValueError(
             "spectral symbols survive orbit averaging; grouping rule violated"

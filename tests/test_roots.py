@@ -360,6 +360,60 @@ def test_sign_is_homomorphism(name):
         assert w.sign == (-1) ** w.length
 
 
+# -- coroots ------------------------------------------------------------------
+
+COROOT_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _reference_coroot(rs, rt):
+    """The former Fraction formula: alpha^vee = sum_i (b_i d_i / d_alpha) alpha_i^vee
+    with d_alpha = (alpha, alpha)/2 = a^T (C D) a / 2."""
+    length_sq = sum(
+        Q(a * b) * rs.cartan[i][j] * rs.symmetrizer[j]
+        for i, a in enumerate(rt.coords)
+        for j, b in enumerate(rt.coords)
+    )
+    out = []
+    for b, d in zip(rt.coords, rs.symmetrizer):
+        c = Q(b) * d / (length_sq / 2)
+        assert c.denominator == 1
+        out.append(int(c))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", COROOT_TYPES)
+def test_coroots_pair_to_two_and_match_reference(name):
+    rs = build_root_system(name)
+    for rt in rs.positive_roots:
+        assert rs.pairing_root_coroot(rt, rt) == 2
+        assert rs.coroot(rt) == _reference_coroot(rs, rt)
+        assert all(type(c) is int for c in rs.coroot(rt))
+        if name[0] in "ADE":  # simply laced: every coroot is its root
+            assert rs.coroot(rt) == rt.coords
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_coroots_of_b_are_roots_of_c(n):
+    for src, dst in ((f"B{n}", f"C{n}"), (f"C{n}", f"B{n}")):
+        rs = build_root_system(src)
+        coroots = sorted(rs.coroot(rt) for rt in rs.positive_roots)
+        assert coroots == sorted(rt.coords for rt in build_root_system(dst).positive_roots)
+
+
+@pytest.mark.parametrize("name", ["F4", "G2"])
+def test_coroots_are_roots_of_reversed_dual_diagram(name):
+    # the transposed Cartan matrix of F4 (G2) is that of F4 (G2) with the nodes reversed
+    rs = build_root_system(name)
+    coroots = sorted(rs.coroot(rt)[::-1] for rt in rs.positive_roots)
+    assert coroots == sorted(rt.coords for rt in rs.positive_roots)
+
+
 # -- pairings from the worked examples ---------------------------------------
 
 

@@ -172,3 +172,31 @@ def test_expand_c():
     out = expand_c_factors(f)
     kinds = {(fac.kind, fac.exponent, fac.argument) for fac in out.factors}
     assert kinds == {("zeta_star", Q(1), x), ("zeta_star", Q(-1), x + 1)}
+
+
+def test_sort_key_is_kept_outside_equality_and_hash():
+    s2 = Symbol("s2", kind="s_variable")
+    form = LinearForm.build(Q(1, 2), {s2: 1, T: Q(-3, 4)})
+    key = form.sort_key()
+    assert form.sort_key() is key  # computed once
+    fresh = LinearForm.build(Q(1, 2), {s2: 1, T: Q(-3, 4)})
+    assert "_sort_key" not in vars(fresh)
+    assert form == fresh and hash(form) == hash(fresh)
+    assert fresh.sort_key() == key
+    assert repr(form) == repr(LinearForm.build(Q(1, 2), {s2: 1, T: Q(-3, 4)}))
+    f = canonicalize(FormulaExpression((Factor("L_star", form, rep="π"), _zfac(lf(1, s2=1)))))
+    back = parse_formula_json(formula_to_json(f))
+    assert back == f
+    assert [hash(fac.argument) for fac in back.factors] == [hash(fac.argument) for fac in f.factors]
+    assert [fac.argument.sort_key() for fac in back.factors] == [fac.argument.sort_key() for fac in f.factors]
+
+
+def test_combine_matches_repeated_addition():
+    s2 = Symbol("s2", kind="s_variable")
+    a = LinearForm.build(1, {s2: 2, T: Q(1, 3)})
+    b = LinearForm.build(Q(-1, 2), {T: Q(-1, 3), S: 1})
+    combined = LinearForm.combine([(a, 3), (b, Q(2, 5)), (a, -1)], 7)
+    assert combined == a * 3 + b * Q(2, 5) - a + 7
+    assert type(combined.constant) is Q and all(type(c) is Q for _, c in combined.terms)
+    assert LinearForm.combine([]) == LinearForm()
+    assert LinearForm.combine([(a, 1), (a, -1)]) == LinearForm()

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
 import pytest
 
+from eiscoeff import template
 from eiscoeff.glcoords import GLPartition, eisenstein_parameters, rho_P, z_symbols
 from eiscoeff.parabolic import wl_orbits
 from eiscoeff.roots import build_root_system
@@ -165,6 +167,49 @@ def test_borel_flat_factor_count():
         assign = _assignment(name, set())
         flat = first_coefficient(assign, mode="flat")
         assert len(flat.factors) == len(assign.parabolic.rs.positive_roots)
+
+
+# -- each exact quantity is computed once per assignment -------------------------
+
+
+@pytest.mark.parametrize("type_name, levi", [("E8", set(range(1, 8))), ("E7", set(range(1, 7))), ("A4", set())])
+def test_first_coefficient_builds_weight_coordinates_once(monkeypatch, type_name, levi):
+    calls = []
+    original = template.SatakeAssignment.spectral_weight_coords
+
+    def counted(self, component=None):
+        calls.append(component)
+        return original(self, component)
+
+    monkeypatch.setattr(template.SatakeAssignment, "spectral_weight_coords", counted)
+    assign = _assignment(type_name, levi)
+    for mode, normalization in itertools.product(("flat", "grouped"), ("hecke", "petersson")):
+        first_coefficient(assign, mode=mode, normalization=normalization)
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("type_name, levi", [("E8", set(range(1, 8))), ("E7", set(range(1, 7))), ("A4", set())])
+def test_first_coefficient_pairs_each_root_once(monkeypatch, type_name, levi):
+    paired = []
+    original = template.pair
+
+    def counted(lam, alpha, rs):
+        paired.append(alpha)
+        return original(lam, alpha, rs)
+
+    monkeypatch.setattr(template, "pair", counted)
+    assign = _assignment(type_name, levi)
+    for mode in ("flat", "grouped"):
+        first_coefficient(assign, mode=mode)
+    assert len(paired) == len(set(paired)) <= len(assign.parabolic.delta_U)
+    assert set(paired) <= set(assign.parabolic.delta_U)
+
+
+def test_assignment_is_frozen():
+    assign = _assignment("A3", {1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        assign.s_symbols = {}
+    assert assign.mu_weight_coords() is assign.mu_weight_coords()
 
 
 # -- constant term ---------------------------------------------------------------
