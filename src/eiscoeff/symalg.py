@@ -52,10 +52,11 @@ class Symbol:
     imaginary: bool = False
 
     def sort_key(self) -> tuple:
-        # computed once per instance and kept outside the compared fields
+        # computed once per instance and kept outside the compared fields; the
+        # name breaks ties such as t01/t1, so distinct symbols never share a key
         key = self.__dict__.get("_sort_key")
         if key is None:
-            key = self.__dict__["_sort_key"] = _natural_key(self.name) + (self.imaginary,)
+            key = self.__dict__["_sort_key"] = _natural_key(self.name) + (self.imaginary, self.name)
         return key
 
     @property
@@ -125,10 +126,6 @@ class LinearForm:
         return LinearForm(self.constant * c, tuple((s, k * c) for s, k in self.terms))
 
     __rmul__ = __mul__
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms
 
     def has_spectral_symbol(self) -> bool:
         return any(s.is_spectral for s, _ in self.terms)

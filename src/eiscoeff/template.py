@@ -298,7 +298,7 @@ def constant_term(
     c_factors = [Factor("c", pair(lam, alpha, rs), exponent=Q(1)) for alpha in rs.positive_roots]
     terms = []
     for w in elements:
-        facs = tuple(f for k, f in enumerate(c_factors) if w.inversions >> k & 1)
+        facs = tuple(c_factors[k] for k in w.inversions)
         terms.append(
             ConstantTermTerm(w, canonicalize(FormulaExpression(facs)), w.apply_weight_forms(lam))
         )

@@ -89,6 +89,9 @@ def test_cartan_matrix_shape(name):
         for j in range(rs.rank):
             if i != j:
                 assert rs.cartan[i][j] <= 0
+    # the simple roots are the first positive roots, in node order
+    assert rs.simple_roots == tuple(Root(tuple(int(i == j) for j in range(rs.rank))) for i in range(rs.rank))
+    assert rs.simple_roots == rs.positive_roots[: rs.rank]
     # C[i][j] = <alpha_i, alpha_j^vee>
     for i, a in enumerate(rs.simple_roots):
         for j, b in enumerate(rs.simple_roots):
@@ -202,6 +205,25 @@ def _perm_matrices(n):
     return list(itertools.permutations(range(n)))
 
 
+def _signed_root(rs, v):
+    """The root that a signed index of ``WeylElement.root_images`` stands for."""
+    n = len(rs.positive_roots)
+    return rs.positive_roots[v] if v < n else -rs.positive_roots[v - n]
+
+
+def _along_word(rs, word, rt):
+    """w(rt) by simple reflections along the word: (i, j) acts as s_i(s_j(rt)),
+    and s_i(b) = b - <b, alpha_i^vee> alpha_i."""
+    b, C = list(rt.coords), rs.cartan
+    for i in reversed(word):
+        b[i - 1] -= sum(x * C[j][i - 1] for j, x in enumerate(b))
+    return Root(tuple(b))
+
+
+def _root_images(rs, w):
+    return [_signed_root(rs, v) for v in w.root_images]
+
+
 def test_enumerate_a2_against_s3():
     rs = build_root_system("A2")
     elements = enumerate_weyl(rs, cap=100)
@@ -211,7 +233,9 @@ def test_enumerate_a2_against_s3():
     # the Weyl action permutes the six roots faithfully
     images = set()
     for w in elements:
-        images.add(tuple(w.apply_root(r).coords for r in rs.positive_roots))
+        got = _root_images(rs, w)
+        assert got == [_along_word(rs, w.word, r) for r in rs.positive_roots]
+        images.add(tuple(got))
     assert len(images) == 6
     assert len(_perm_matrices(3)) == 6
 
@@ -232,7 +256,7 @@ def test_cap_exceeded_e8():
 def _reference_closure(rs):
     """The former engine: breadth-first closure on words, composing exact
     matrices (integer in the root basis, Fraction in the weight basis) and
-    sorting by (length, word).  Entries are (word, sign, root_matrix, weight_matrix)."""
+    sorting by (length, word).  Entries are (word, sign, weight_matrix, root_matrix)."""
     r, C = rs.rank, rs.cartan
 
     def mul(a, b):
@@ -246,18 +270,18 @@ def _reference_closure(rs):
         for j in range(r):
             rootm[i][j] -= C[j][i]
             weightm[j][i] -= C[i][j]
-        gens.append(((i + 1,), -1, tuple(map(tuple, rootm)), tuple(map(tuple, weightm))))
+        gens.append(((i + 1,), -1, tuple(map(tuple, weightm)), tuple(map(tuple, rootm))))
     eye = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
-    ident = ((), 1, eye, tuple(tuple(Q(x) for x in row) for row in eye))
+    ident = ((), 1, tuple(tuple(Q(x) for x in row) for row in eye), eye)
     seen = {eye: ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for word, sign, rm, wm in frontier:
-            for gword, gsign, grm, gwm in gens:
-                cand = (word + gword, sign * gsign, mul(rm, grm), mul(wm, gwm))
-                if cand[2] not in seen:
-                    seen[cand[2]] = cand
+        for word, sign, wm, rm in frontier:
+            for gword, gsign, gwm, grm in gens:
+                cand = (word + gword, sign * gsign, mul(wm, gwm), mul(rm, grm))
+                if cand[3] not in seen:
+                    seen[cand[3]] = cand
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
@@ -269,20 +293,25 @@ ENGINE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2"
 @pytest.mark.parametrize("name", ENGINE_TYPES)
 def test_enumeration_matches_reference_closure(name):
     rs = build_root_system(name)
-    got = [(w.word, w.sign, w.root_matrix, w.weight_matrix) for w in enumerate_weyl(rs)]
-    assert got == _reference_closure(rs)
-    for w in enumerate_weyl(rs):
+    elements = enumerate_weyl(rs)
+    reference = _reference_closure(rs)
+    assert [(w.word, w.sign, w.weight_matrix) for w in elements] == [e[:3] for e in reference]
+    for w, (_, _, _, root_matrix) in zip(elements, reference):
         assert all(type(x) is int for row in w.weight_matrix for x in row)
+        want = [
+            Root(tuple(sum(m * b for m, b in zip(row, rt.coords)) for row in root_matrix))
+            for rt in rs.positive_roots
+        ]
+        assert _root_images(rs, w) == want
 
 
 @pytest.mark.parametrize("name", ENGINE_TYPES)
 def test_inversion_sets(name):
     rs = build_root_system(name)
     for w in enumerate_weyl(rs):
-        want = {k for k, a in enumerate(rs.positive_roots) if not w.apply_root(a).is_positive}
-        got = {k for k in range(len(rs.positive_roots)) if w.inversions >> k & 1}
-        assert got == want
-        assert len(got) == w.length
+        want = [k for k, a in enumerate(rs.positive_roots) if not _along_word(rs, w.word, a).is_positive]
+        assert list(w.inversions) == want
+        assert len(want) == w.length
 
 
 @pytest.mark.parametrize("name, degrees", [("F4", (2, 6, 8, 12)), ("D5", (2, 4, 5, 6, 8))])
@@ -336,13 +365,14 @@ def test_cap_refuses_before_enumerating(monkeypatch, name, order):
 def test_weyl_properties(name):
     rs = build_root_system(name)
     elements = enumerate_weyl(rs, cap=10**4)
-    pos = set(rs.positive_roots)
+    pos = list(rs.positive_roots)
     allroots = set(rs.all_roots)
     for w in elements:
-        imgs = {w.apply_root(r) for r in allroots}
-        assert imgs == allroots
+        images = _root_images(rs, w)
+        assert images == [_along_word(rs, w.word, r) for r in pos]
+        assert set(images) | {-r for r in images} == allroots
     w0 = long_element(rs)
-    assert {w0.apply_root(r) for r in pos} == {-r for r in pos}
+    assert set(_root_images(rs, w0)) == {-r for r in pos}
     assert w0.apply_weight(rs.rho).coords == tuple(-Q(1) for _ in range(rs.rank))
 
 
@@ -356,6 +386,9 @@ def test_sign_is_homomorphism(name):
         for w2 in elements:
             w = compose(w1, w2)
             assert w.sign == w1.sign * w2.sign
+            # the product carries its inversion set: the roots that w1(w2(.)) sends below 0
+            want = [k for k, a in enumerate(rs.positive_roots) if not _along_word(rs, w.word, a).is_positive]
+            assert list(w.inversions) == want
     for w in elements:
         assert w.sign == (-1) ** w.length
 

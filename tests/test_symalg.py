@@ -200,3 +200,13 @@ def test_combine_matches_repeated_addition():
     assert type(combined.constant) is Q and all(type(c) is Q for _, c in combined.terms)
     assert LinearForm.combine([]) == LinearForm()
     assert LinearForm.combine([(a, 1), (a, -1)]) == LinearForm()
+
+
+def test_symbols_with_equal_digit_values_sort_apart():
+    # t01 and t1 have the same natural key; the name breaks the tie
+    t01, t1 = Symbol("t01"), Symbol("t1")
+    assert t01.sort_key() != t1.sort_key()
+    one = LinearForm.build(0, {t01: 1, t1: 1})
+    other = LinearForm.build(0, {t1: 1, t01: 1})
+    assert one == other and hash(one) == hash(other)
+    assert str(one) == str(other)
