@@ -113,33 +113,6 @@ def normalization_factor(place, lam: Sequence[complex], rs: RootSystem) -> Compl
     return ComplexValue(total, err)
 
 
-def _signed_pairings(lam: Sequence[complex], rs: RootSystem) -> list[complex]:
-    """<lam, beta^vee> on the 2N signed root indices of ``WeylElement.root_images``."""
-    z = [pair_numeric(lam, alpha, rs) for alpha in rs.positive_roots]
-    return z + [-x for x in z]
-
-
-def _weyl_sum(elements, pairings: list, factors: list, H: Sequence[float]) -> tuple[complex, float]:
-    """sum_w prod_{alpha>0} f(<w lam, alpha^vee>) exp(-<w lam + rho, H>) and
-    the sum of the moduli of its terms, given f at the signed pairings
-    (``factors[v]`` at ``pairings[v]``) and H in the simple-coroot basis.
-
-    The sum runs over w^-1 instead of w: <w^-1 lam, alpha^vee> =
-    <lam, (w alpha)^vee> is ``pairings[v]`` for the image v of alpha, so a
-    term is N lookups, and w^-1 lam has coordinates ``pairings[images[i]]``
-    at the simple roots i = 0, ..., rank - 1.
-    """
-    total, magsum = 0j, 0.0
-    shift = -sum(H)
-    for w in elements:
-        images = w.root_images
-        exponent = shift - sum(h * pairings[images[i]] for i, h in enumerate(H))
-        term = cmath.exp(exponent) * math.prod(map(factors.__getitem__, images))
-        total += term
-        magsum += abs(term)
-    return total, magsum
-
-
 def whittaker_padic(
     p: int,
     lam: Sequence[complex],
@@ -157,16 +130,23 @@ def whittaker_padic(
         return WhittakerValue(ComplexValue(0.0, 0.0), "casselman_shalika")
     logp = math.log(p)
     elements = enumerate_weyl(rs, cap)
-    pairings = _signed_pairings(lam, rs)
-    factors = []
-    for v, z in enumerate(pairings):
-        d = 1.0 - cmath.exp(z * logp)
-        if abs(d) < 1e-10:
-            beta = rs.all_roots[v].coords
-            raise SingularParameter(f"1 - p^<lam, beta^vee> vanishes at beta={beta}")
-        factors.append(1.0 / d)
-    H = [logp * float(x) for x in a.coroot_coords]  # p^-<mu, a> = exp(-<mu, H>)
-    total, magsum = _weyl_sum(elements, pairings, factors, H)
+    total = complex(0.0)
+    magsum = 0.0
+    for w in elements:
+        wlam = w.apply_weight_numeric(lam)
+        denom = complex(1.0)
+        for alpha in rs.positive_roots:
+            z = pair_numeric(wlam, alpha, rs)
+            d = 1.0 - cmath.exp(z * logp)
+            if abs(d) < 1e-10:
+                raise SingularParameter(
+                    f"1 - p^<w lam, alpha^vee> vanishes at w={w.word}, alpha={alpha.coords}"
+                )
+            denom *= d
+        shifted = tuple(c + 1.0 for c in wlam)  # w lam + rho
+        term = cmath.exp(-a.pair_weight(shifted) * logp) / denom
+        total += term
+        magsum += abs(term)
     return WhittakerValue(
         ComplexValue(total, 1e-13 * magsum * len(elements) ** 0.5), "casselman_shalika"
     )
@@ -288,15 +268,22 @@ def leading_asymptotics(
     """
     point = TorusPoint.from_coweights(rs, [Q(x) for x in H])
     elements = enumerate_weyl(rs, cap)
-    pairings = _signed_pairings(lam, rs)
-    factors = []
-    for v, z in enumerate(pairings):
-        half = -z / 2.0
-        r = round(half.real)
-        if abs(half.imag) < 1e-9 and r <= 0 and abs(half.real - r) < 1e-9:
-            beta = rs.all_roots[v].coords
-            raise SingularParameter(f"Gamma_R pole at <lam, beta^vee> = {z} for beta={beta}")
-        factors.append(gamma_r(-z).value)
-    scaled = [t * float(x) for x in point.coroot_coords]
-    total, magsum = _weyl_sum(elements, pairings, factors, scaled)
+    total = complex(0.0)
+    magsum = 0.0
+    for w in elements:
+        wlam = w.apply_weight_numeric(lam)
+        prod = complex(1.0)
+        for alpha in rs.positive_roots:
+            z = -pair_numeric(wlam, alpha, rs)
+            half = z / 2.0
+            r = round(half.real)
+            if abs(half.imag) < 1e-9 and r <= 0 and abs(half.real - r) < 1e-9:
+                raise SingularParameter(
+                    f"Gamma_R pole at <w lam, alpha^vee> = {-z} for w={w.word}"
+                )
+            prod *= gamma_r(z).value
+        shifted = tuple(c + 1.0 for c in wlam)
+        term = cmath.exp(-t * point.pair_weight(shifted)) * prod
+        total += term
+        magsum += abs(term)
     return ComplexValue(total, 1e-11 * magsum)
