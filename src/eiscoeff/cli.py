@@ -2,38 +2,16 @@
 
 Subcommands: first-coeff, constant-term, params, hecke, whittaker-p,
 whittaker-sl2, zeta, verify.  Exit codes: 0 success, 2 usage error,
-3 numeric failure, 4 verification mismatch.
+3 numeric failure, 4 verification mismatch.  Each subcommand imports the
+layers it runs, so a cold start loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction as Q
 
-from . import verifysuite
 from .errors import CapExceeded, ConvergenceFailure, EngineError, PoleAt, SingularParameter
-from .glcoords import GLPartition, alpha_from_s, eisenstein_parameters, rho_P, z_symbols
-from .parabolic import build_parabolic
-from .roots import CartanType, build_root_system
-from .specfun import zeta, zeta_star
-from .symalg import (
-    LinearForm,
-    Symbol,
-    expand_c_factors,
-    formula_to_json,
-    render,
-    render_linear_form,
-)
-from .template import (
-    classical_block_parameters,
-    constant_term,
-    first_coefficient,
-    standard_assignment,
-    to_alpha_coordinates,
-    to_classical,
-)
-from .whittaker import TorusPoint, whittaker_padic, whittaker_sl2_arch
 
 USAGE_ERROR, NUMERIC_ERROR, VERIFY_ERROR = 2, 3, 4
 
@@ -59,7 +37,9 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
     return f"{re:.{digits}g}{im:+.{digits}g}i"
 
 
-def _resolve_type(args) -> CartanType:
+def _resolve_type(args):
+    from .roots import CartanType
+
     if getattr(args, "gln", None):
         n = args.gln
         if not (2 <= n <= 12):
@@ -70,8 +50,10 @@ def _resolve_type(args) -> CartanType:
     raise argparse.ArgumentTypeError("one of --type or --gln is required")
 
 
-def _levi_from_args(args, ctype: CartanType) -> tuple[frozenset[int], GLPartition | None]:
+def _levi_from_args(args, ctype):
     """Returns (levi simple-root indices, partition when given in A-type shorthand)."""
+    from .glcoords import GLPartition
+
     nodes_arg = getattr(args, "levi_nodes", None)
     levi_arg = getattr(args, "levi", None)
     if nodes_arg is not None:
@@ -91,6 +73,11 @@ def _levi_from_args(args, ctype: CartanType) -> tuple[frozenset[int], GLPartitio
 
 
 def _cmd_first_coeff(args) -> int:
+    from .parabolic import build_parabolic
+    from .roots import build_root_system
+    from .symalg import formula_to_json, render
+    from .template import first_coefficient, standard_assignment, to_alpha_coordinates, to_classical
+
     ctype = _resolve_type(args)
     rs = build_root_system(ctype)
     levi, partition = _levi_from_args(args, ctype)
@@ -118,6 +105,10 @@ def _cmd_first_coeff(args) -> int:
 
 
 def _cmd_constant_term(args) -> int:
+    from .roots import build_root_system
+    from .symalg import LinearForm, Symbol, expand_c_factors, render, render_linear_form
+    from .template import constant_term
+
     ctype = _resolve_type(args)
     rs = build_root_system(ctype)
     if rs.rank == 1:
@@ -143,6 +134,12 @@ def _cmd_constant_term(args) -> int:
 
 
 def _cmd_params(args) -> int:
+    from fractions import Fraction as Q
+
+    from .glcoords import GLPartition, alpha_from_s, eisenstein_parameters, rho_P, z_symbols
+    from .symalg import LinearForm, Symbol, render_linear_form
+    from .template import classical_block_parameters
+
     ctype = _resolve_type(args)
     n = ctype.rank + 1
     if ctype.family != "A":
@@ -181,6 +178,9 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_whittaker_p(args) -> int:
+    from .roots import build_root_system
+    from .whittaker import TorusPoint, whittaker_padic
+
     ctype = _resolve_type(args)
     rs = build_root_system(ctype)
     nus = [_parse_complex(x) for x in args.nu.split(",")]
@@ -200,12 +200,16 @@ def _cmd_whittaker_p(args) -> int:
 
 
 def _cmd_whittaker_sl2(args) -> int:
+    from .whittaker import whittaker_sl2_arch
+
     val = whittaker_sl2_arch(_parse_complex(args.nu), args.y)
     print(_fmt_complex(val.value.value))
     return 0
 
 
 def _cmd_zeta(args) -> int:
+    from .specfun import zeta, zeta_star
+
     s = _parse_complex(args.s)
     val = zeta_star(s) if args.completed else zeta(s)
     print(_fmt_complex(val.value))
@@ -213,6 +217,8 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifysuite
+
     checks = verifysuite.paper_suite() if args.suite == "paper" else verifysuite.property_suite()
     failures = 0
     for name, ok in checks:

@@ -119,6 +119,9 @@ def parabolic_eigenvalue(
         raise DimensionMismatch("need one exponent and one callback per part")
     if not (1 <= m <= _MAX_M):
         raise ValueError(f"m must be in 1..{_MAX_M}")
+    count = prod(comb(e + r - 1, r - 1) for _, e in factorize(m))
+    if count > _MAX_TERMS:
+        raise ValueError(f"divisor expansion of size {count} exceeds the guard")
     total = complex(0.0)
     for tup in _ordered_factorizations(m, r):
         term = complex(1.0)

@@ -218,3 +218,90 @@ def test_outputs_newline_terminated(capsys):
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 0 and out.endswith("\n")
+
+
+SUBCOMMANDS = {
+    "first-coeff": ["first-coeff", "--type", "A2", "--levi", ""],
+    "constant-term": ["constant-term", "--type", "A2"],
+    "params": ["params", "--gln", "4", "--levi", "2,2"],
+    "hecke": ["hecke", "--gln", "3", "--alpha", "0.3i,0.1i,-0.4i", "--m", "720"],
+    "whittaker-p": ["whittaker-p", "--type", "A2", "--p", "5", "--nu", "0.2+1i,0.1+0.8i",
+                    "--cochar", "1,2"],
+    "whittaker-sl2": ["whittaker-sl2", "--nu", "0.25i", "--y", "1.5"],
+    "zeta": ["zeta", "2"],
+    "verify": ["verify", "--suite", "properties"],
+}
+
+
+def _loaded_submodules(code, *argv):
+    """Names of the eiscoeff submodules that a fresh interpreter has loaded after `code`."""
+    import eiscoeff
+
+    src = str(Path(eiscoeff.__file__).resolve().parents[1])
+    probe = (
+        f"import sys\n{code}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('eiscoeff.')), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return {m.removeprefix("eiscoeff.") for m in proc.stderr.split()}
+
+
+def _cli_loads(name):
+    code = "from eiscoeff.cli import run\nassert run(sys.argv[1:]) == 0"
+    return _loaded_submodules(code, *SUBCOMMANDS[name])
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_submodules("import eiscoeff") == set()
+
+
+def test_first_use_of_a_name_loads_its_layer_only():
+    assert _loaded_submodules("import eiscoeff\neiscoeff.zeta_star") == {"errors", "specfun"}
+
+
+def test_zeta_loads_only_its_own_layers():
+    loaded = _cli_loads("zeta")
+    assert not loaded & {"symalg", "roots", "parabolic", "template", "glcoords", "verifysuite"}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_only_verify_loads_the_example_catalogue(name):
+    assert ("verifysuite" in _cli_loads(name)) == (name == "verify")
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    import importlib
+
+    import eiscoeff
+
+    assert len(eiscoeff.__all__) == len(set(eiscoeff.__all__)) == 55
+    for name in eiscoeff.__all__:
+        module = importlib.import_module(f"eiscoeff.{eiscoeff._SUBMODULE[name]}")
+        assert getattr(eiscoeff, name) is getattr(module, name)
+
+
+def test_public_names_are_listed_and_star_importable():
+    import eiscoeff
+
+    assert set(eiscoeff.__all__) <= set(dir(eiscoeff))
+    assert "__version__" in vars(eiscoeff)
+    namespace = {}
+    exec("from eiscoeff import *", namespace)
+    assert set(eiscoeff.__all__) <= set(namespace)
+    for name in eiscoeff.__all__:
+        assert namespace[name] is getattr(eiscoeff, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    import eiscoeff
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eiscoeff.no_such_name
+    assert not hasattr(eiscoeff, "cli_run")

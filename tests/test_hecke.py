@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 
 from eiscoeff.glcoords import GLPartition
 from eiscoeff.hecke import (
+    _ordered_factorizations,
     borel_eigenvalue,
     factorize,
     parabolic_eigenvalue,
@@ -128,6 +130,21 @@ def test_parabolic_reduces_to_borel_22():
         got = parabolic_eigenvalue(part, z, m, cb)
         expect = borel_eigenvalue(4, refined, m)
         assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+@pytest.mark.parametrize("m,r", [(1, 3), (12, 2), (720, 3), (2**5 * 3, 4), (30030, 5)])
+def test_parabolic_term_count_is_the_number_of_ordered_factorizations(m, r):
+    count = math.prod(math.comb(e + r - 1, r - 1) for _, e in factorize(m))
+    assert len(list(_ordered_factorizations(m, r))) == count
+
+
+def test_parabolic_refuses_an_oversized_expansion_before_summing():
+    # 720720 = 2^4 3^2 5 7 11 13: C(15,11) C(13,11) 12^4, about 2.2e9 ordered 12-part factorizations
+    part = GLPartition((1,) * 12)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        parabolic_eigenvalue(part, (0j,) * 12, 720720, (lambda c: 1.0,) * 12)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_z_exponents_shapes():
