@@ -37,14 +37,18 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
     return f"{re:.{digits}g}{im:+.{digits}g}i"
 
 
+def _gln(args) -> int:
+    n = args.gln
+    if not (2 <= n <= 12):
+        raise argparse.ArgumentTypeError("--gln supports 2 <= n <= 12")
+    return n
+
+
 def _resolve_type(args):
     from .roots import CartanType
 
     if getattr(args, "gln", None):
-        n = args.gln
-        if not (2 <= n <= 12):
-            raise argparse.ArgumentTypeError("--gln supports 2 <= n <= 12")
-        return CartanType("A", n - 1)
+        return CartanType("A", _gln(args) - 1)
     if getattr(args, "type", None):
         return CartanType.parse(args.type)
     raise argparse.ArgumentTypeError("one of --type or --gln is required")
@@ -168,8 +172,7 @@ def _cmd_params(args) -> int:
 def _cmd_hecke(args) -> int:
     from .hecke import borel_eigenvalue
 
-    ctype = _resolve_type(args)
-    n = ctype.rank + 1
+    n = _gln(args) if args.gln else _resolve_type(args).rank + 1
     alpha = [_parse_complex(x) for x in args.alpha.split(",")]
     if len(alpha) != n:
         raise argparse.ArgumentTypeError(f"--alpha needs {n} entries")

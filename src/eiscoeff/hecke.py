@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import cmath
 from math import comb, prod
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DimensionMismatch
-from .glcoords import GLPartition, rho_P
+
+if TYPE_CHECKING:
+    from .glcoords import GLPartition
 
 __all__ = [
     "borel_eigenvalue",
@@ -81,6 +83,8 @@ def borel_eigenvalue(n: int, alpha: Sequence[complex], m: int) -> complex:
 
 def z_exponents(partition: GLPartition, s: Sequence[complex]) -> tuple[complex, ...]:
     """z_i = s_i - rho_P(i)."""
+    from .glcoords import rho_P
+
     rho = rho_P(partition)
     if len(s) != partition.r:
         raise DimensionMismatch("one s-variable per part")

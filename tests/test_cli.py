@@ -271,6 +271,11 @@ def test_zeta_loads_only_its_own_layers():
     assert not loaded & {"symalg", "roots", "parabolic", "template", "glcoords", "verifysuite"}
 
 
+def test_hecke_loads_no_symbolic_layer():
+    loaded = _cli_loads("hecke")
+    assert not loaded & {"symalg", "roots", "glcoords", "parabolic", "template"}
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 def test_only_verify_loads_the_example_catalogue(name):
     assert ("verifysuite" in _cli_loads(name)) == (name == "verify")

@@ -9,6 +9,9 @@ reference is also checked at a point where the program is right, so an
 xfail cannot hide a wrong reference.
 """
 
+import math
+import random
+
 import mpmath
 import pytest
 
@@ -116,4 +119,28 @@ def test_bessel_k_double_path_within_claim(nu, x):
 @pytest.mark.xfail(strict=True, reason=BESSEL_REASON)
 @pytest.mark.parametrize("nu,x", [(15j, 15.0), (19.5j, 19.9), (20j, 30.0)])
 def test_bessel_k_double_path_within_claim_at_large_order(nu, x):
+    assert _within_claim(bessel_k(nu, x), _bessel_ref(nu, x))
+
+
+def test_bessel_k_mp_path_truncated_deep_enough():
+    # |K| is about e^(-pi |Im nu|/2): a tail cut at e^(-x-50) relative to the
+    # integrand left this point 5.2 times outside its claim.
+    assert _within_claim(bessel_k(19.9j, 0.06), _bessel_ref(19.9j, 0.06))
+
+
+def _mp_path_points(n=10, seed=17):
+    """Seeded points of the extended-precision contract: 4 < |Im nu| <= 20,
+    0.05 <= x < |Im nu| (log-uniform) and |nu| <= 20."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        tau = rng.uniform(4.05, 20.0)
+        re = rng.uniform(-1.0, 1.0) * min(2.0, math.sqrt(400.0 - tau * tau))
+        x = math.exp(rng.uniform(math.log(0.05), math.log(tau)))
+        points.append((complex(re, rng.choice((-1, 1)) * tau), x))
+    return points
+
+
+@pytest.mark.parametrize("nu,x", _mp_path_points())
+def test_bessel_k_mp_path_within_claim(nu, x):
     assert _within_claim(bessel_k(nu, x), _bessel_ref(nu, x))

@@ -1,9 +1,11 @@
 import math
 import random
 
+import mpmath
 import pytest
 
-from eiscoeff.errors import PoleAt
+from eiscoeff import specfun
+from eiscoeff.errors import ConvergenceFailure, PoleAt
 from eiscoeff.specfun import (
     bessel_k,
     c_factor,
@@ -153,6 +155,32 @@ def test_bessel_contract_corners():
     # large orders at the edges of the accuracy contract
     assert rel_err(bessel_k(19.5j, 1.0).value, 1.76520402847840670271288382726e-14) < 1e-10
     assert rel_err(bessel_k(20.0, 0.05).value, 6.68729013800814666878794693199e48) < 1e-10
+
+
+def test_bessel_mp_path_stops_where_its_precision_runs_out(monkeypatch):
+    # |Im nu| > 4, x < |Im nu|: the extended-precision path.  Each integrand
+    # value costs one mpmath.exp; tanh-sinh levels 0..L use 2^(L+1) + 1 of them.
+    nu, x = 0.06 + 11.26j, 0.413
+    with mpmath.workdps(30):
+        ref = complex(mpmath.besselk(mpmath.mpc(nu), x))
+    calls = [0]
+    exp = mpmath.exp
+
+    def counting_exp(z):
+        calls[0] += 1
+        return exp(z)
+
+    monkeypatch.setattr(mpmath, "exp", counting_exp)
+    k = bessel_k(nu, x)
+    assert calls[0] <= 2**10 + 1  # level 9; running all 14 levels costs 2^14 + 1
+    assert abs(k.value - ref) <= k.abs_err
+
+
+def test_bessel_mp_path_raises_when_levels_run_out(monkeypatch):
+    monkeypatch.setattr(specfun, "_MP_LEVELS", 2)
+    with pytest.raises(ConvergenceFailure) as failure:
+        bessel_k(0.06 + 11.26j, 0.413)
+    assert failure.value.achieved > failure.value.target
 
 
 def test_bessel_domain_error():
